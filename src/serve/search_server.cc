@@ -123,7 +123,12 @@ Status SearchServer::Start() {
 
 void SearchServer::Stop() {
   if (!accept_thread_.joinable()) return;
-  stop_.store(true, std::memory_order_relaxed);
+  {
+    // Under the mailbox lock, so no worker can sit between testing its wait
+    // predicate and blocking: it either sees the flag or gets the notify.
+    std::lock_guard<std::mutex> lock(mailbox_mu_);
+    stop_.store(true, std::memory_order_relaxed);
+  }
   mailbox_cv_.notify_all();
   accept_thread_.join();
   for (std::thread& worker : workers_) worker.join();

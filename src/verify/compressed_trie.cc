@@ -25,6 +25,15 @@ Result<CompressedInstanceTrie> CompressedInstanceTrie::Build(
   }
   trie.run_begin_.push_back(static_cast<int32_t>(trie.runs_.size()));
   trie.nodes_.push_back(Node{-1, 0, 0, 0, 0, 1.0});
+  // Every depth is covered by one level's labels, once per node of the
+  // level; ε alone has depth 0.
+  trie.prefixes_below_ = {0, 1};
+  auto add_depths = [&](int depths, int64_t per_depth) {
+    for (int i = 0; i < depths; ++i) {
+      trie.prefixes_below_.push_back(trie.prefixes_below_.back() + per_depth);
+    }
+  };
+  add_depths(first_uncertain, 1);
 
   int32_t level_begin = 0;
   int32_t level_end = 1;
@@ -63,6 +72,7 @@ Result<CompressedInstanceTrie> CompressedInstanceTrie::Build(
     }
     level_begin = level_end;
     level_end = static_cast<int32_t>(trie.nodes_.size());
+    add_depths(run_end - pos, next_size);
   }
   return trie;
 }

@@ -1,6 +1,7 @@
 #ifndef UJOIN_VERIFY_COMPRESSED_TRIE_H_
 #define UJOIN_VERIFY_COMPRESSED_TRIE_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -75,6 +76,15 @@ class CompressedInstanceTrie {
   /// Depth one past the last label character (= depth() for leaf levels).
   int EndDepth(int32_t id) const { return StartDepth(id) + LabelLength(id); }
 
+  /// Number of virtual positions — (node, label offset) pairs, plus the
+  /// empty prefix at depth 0 — whose depth lies in [lo, hi].
+  int64_t PrefixesAtDepths(int lo, int hi) const {
+    const int begin = std::clamp(lo, 0, depth_ + 1);
+    const int end = std::clamp(hi + 1, begin, depth_ + 1);
+    return prefixes_below_[static_cast<size_t>(end)] -
+           prefixes_below_[static_cast<size_t>(begin)];
+  }
+
   /// True when `id` terminates a full instance (deepest level).
   bool IsLeafNode(int32_t id) const { return node(id).num_children == 0; }
 
@@ -95,6 +105,7 @@ class CompressedInstanceTrie {
   std::string runs_;                     // concatenated per-level runs
   std::vector<int32_t> run_begin_;       // level -> offset into runs_
   std::vector<int32_t> level_start_depth_;  // level -> depth of label start
+  std::vector<int64_t> prefixes_below_;  // [x]: positions of depth < x
   int depth_ = 0;
 };
 

@@ -1,12 +1,13 @@
 #include "verify/compressed_verifier.h"
 
 #include <algorithm>
-#include <set>
+#include <compare>
+#include <limits>
 #include <utility>
 #include <vector>
 
 #include "util/check.h"
-#include "util/math_util.h"
+#include "verify/trie_walk.h"
 
 namespace ujoin {
 
@@ -20,184 +21,118 @@ struct VirtualNode {
   int32_t node;
   int32_t offset;
 
-  friend bool operator<(const VirtualNode& a, const VirtualNode& b) {
-    return a.node != b.node ? a.node < b.node : a.offset < b.offset;
-  }
-  friend bool operator==(const VirtualNode& a, const VirtualNode& b) {
-    return a.node == b.node && a.offset == b.offset;
-  }
+  friend auto operator<=>(const VirtualNode&, const VirtualNode&) = default;
 };
 
-struct ActiveEntry {
-  VirtualNode v;
-  int32_t dist;
-};
-
-using ActiveSet = std::vector<ActiveEntry>;  // sorted by VirtualNode
-
-int32_t LookupDistance(const ActiveSet& set, const VirtualNode& v) {
-  auto it = std::lower_bound(
-      set.begin(), set.end(), v,
-      [](const ActiveEntry& e, const VirtualNode& key) { return e.v < key; });
-  if (it == set.end() || !(it->v == v)) return -1;
-  return it->dist;
-}
-
-/// Walks the on-demand trie of S against a fixed compressed T_R; mirrors
-/// verifier.cc's TrieWalker, including τ early termination.
-class CompressedTrieWalker {
+/// TrieWalk over the compressed T_R, whose positions are virtual.
+class CompressedTrieWalker
+    : public internal::TrieWalk<CompressedTrieWalker, CompressedInstanceTrie,
+                                VirtualNode> {
  public:
-  CompressedTrieWalker(const CompressedInstanceTrie& trie,
-                       const UncertainString& s, int k, VerifyStats* stats,
-                       double tau = -1.0)
-      : trie_(trie), s_(s), k_(k), tau_(tau), stats_(stats) {}
-
-  double Run() {
-    ActiveSet root_active;
-    // ε at distance 0, then every virtual position of depth <= k.  Virtual
-    // depths ascend along each node's label and across levels, so a
-    // bounded DFS over nodes collects them in (node, offset) order.
-    root_active.push_back(ActiveEntry{VirtualNode{trie_.root(), -1}, 0});
-    CollectShallow(trie_.root(), &root_active);
-    std::sort(root_active.begin(), root_active.end(),
-              [](const ActiveEntry& a, const ActiveEntry& b) {
-                return a.v < b.v;
-              });
-    Recurse(0, 1.0, root_active);
-    return ClampProb(total_);
-  }
-
-  double lower_bound() const { return ClampProb(total_); }
-  double upper_bound() const { return ClampProb(total_ + (1.0 - resolved_)); }
-  bool stopped_early() const { return stopped_; }
+  using TrieWalk::TrieWalk;
 
  private:
-  // Depth of the prefix ending at virtual position v.
-  int Depth(const VirtualNode& v) const {
-    return trie_.StartDepth(v.node) + v.offset + 1;
-  }
+  friend TrieWalk;
+  using Entry = internal::ActiveEntry<VirtualNode>;
 
-  bool IsFullInstance(const VirtualNode& v) const {
-    return Depth(v) == trie_.depth() && trie_.IsLeafNode(v.node) &&
-           v.offset == trie_.LabelLength(v.node) - 1;
-  }
-
-  // Collects virtual positions of depth <= k_ under `node` (inclusive).
-  void CollectShallow(int32_t node, ActiveSet* out) {
-    const int start = trie_.StartDepth(node);
-    const int len = trie_.LabelLength(node);
-    for (int off = 0; off < len; ++off) {
-      const int depth = start + off + 1;
-      if (depth > k_) return;  // deeper offsets/levels only grow
-      out->push_back(ActiveEntry{VirtualNode{node, off},
-                                 static_cast<int32_t>(depth)});
-    }
-    const auto& n = trie_.node(node);
-    // A child's first virtual position sits at depth start + len + 1.
-    if (start + len + 1 > k_) return;
-    for (int32_t c = 0; c < n.num_children; ++c) {
-      CollectShallow(n.first_child + c, out);
-    }
-  }
-
-  void Recurse(int depth, double prefix_prob, const ActiveSet& active) {
-    if (stats_ != nullptr) {
-      ++stats_->explored_s_nodes;
-      stats_->active_entries += static_cast<int64_t>(active.size());
-    }
-    if (depth == s_.length()) {
-      for (const ActiveEntry& e : active) {
-        if (IsFullInstance(e.v)) {
-          total_ += prefix_prob * trie_.node(e.v.node).prob;
-        }
+  // A(ε): ε at distance 0, then every virtual position of depth <= k.
+  // Label start depths ascend with node ids, so an id-order scan lists the
+  // positions in (node, offset) order and may stop at the first node whose
+  // label starts at depth k or deeper.
+  void FillRoot(ActiveSet* root) {
+    root->push_back(Entry{VirtualNode{trie_.root(), -1}, 0});
+    for (int32_t n = 0; n < trie_.num_nodes() && trie_.StartDepth(n) < k_;
+         ++n) {
+      const int len = std::min(trie_.LabelLength(n), k_ - trie_.StartDepth(n));
+      for (int off = 0; off < len; ++off) {
+        const int depth = trie_.StartDepth(n) + off + 1;
+        root->push_back(Entry{VirtualNode{n, off}, depth});
       }
-      resolved_ += prefix_prob;
-      MaybeStop();
-      return;
-    }
-    for (const CharProb& cp : s_.AlternativesAt(depth)) {
-      if (stopped_) return;
-      const double child_prob = prefix_prob * cp.prob;
-      ActiveSet child = Extend(active, cp.symbol, depth + 1);
-      if (child.empty()) {
-        resolved_ += child_prob;
-        MaybeStop();
-        continue;
-      }
-      Recurse(depth + 1, child_prob, child);
     }
   }
 
-  void MaybeStop() {
-    if (tau_ < 0.0) return;
-    if (total_ > tau_ || total_ + (1.0 - resolved_) <= tau_) stopped_ = true;
+  // A full instance of R ends at a leaf node's last position.
+  bool IsInstance(const VirtualNode& v) const {
+    return trie_.IsLeafNode(v.node) && v == LastPosition(v.node);
+  }
+  double InstanceProb(const VirtualNode& v) const {
+    return trie_.node(v.node).prob;
   }
 
-  // The parent virtual position (ε's parent is ε itself; never queried).
-  VirtualNode Parent(const VirtualNode& v) const {
-    if (v.offset > 0 || (v.node == trie_.root() && v.offset == 0)) {
-      return VirtualNode{v.node, v.offset - 1};
-    }
-    const int32_t parent_node = trie_.node(v.node).parent;
-    return VirtualNode{parent_node, trie_.LabelLength(parent_node) - 1};
+  // The last virtual position of `node` (ε for an empty-label root): the
+  // only one whose children are child nodes.
+  VirtualNode LastPosition(int32_t node) const {
+    return VirtualNode{node, trie_.LabelLength(node) - 1};
   }
 
-  // Appends v's virtual children to `candidates`.
-  void AddChildren(const VirtualNode& v, std::set<VirtualNode>* candidates) {
-    if (v.offset + 1 < trie_.LabelLength(v.node)) {
-      candidates->insert(VirtualNode{v.node, v.offset + 1});
-      return;
-    }
-    const auto& n = trie_.node(v.node);
-    for (int32_t c = 0; c < n.num_children; ++c) {
-      candidates->insert(VirtualNode{n.first_child + c, 0});
-    }
-  }
-
-  ActiveSet Extend(const ActiveSet& active, char c, int new_len) {
-    ActiveSet next;
-    std::set<VirtualNode> candidates;
+  /// Fills `next` with A(u·c) from `active` = A(u); false when it is empty.
+  /// TrieWalker::Extend's DP over virtual positions in (node, offset)
+  /// order, node by node: the root first, then candidate nodes from the
+  /// same three sorted streams — the nodes of A(u), and the child ranges of
+  /// the members of A(u) and of A(u·c) that end their node's label.  The
+  /// parent of (n, 0) is parent(n)'s last position (ε for the root), found
+  /// by monotone cursors because parent(n) is non-decreasing in level
+  /// order; ScanLabel does the rest.
+  bool Extend(const ActiveSet& active, char c, int new_len, ActiveSet* next) {
+    constexpr int32_t kNone = std::numeric_limits<int32_t>::max();
     const VirtualNode epsilon{trie_.root(), -1};
-    if (new_len <= k_) candidates.insert(epsilon);
-    for (const ActiveEntry& e : active) {
-      candidates.insert(e.v);
-      AddChildren(e.v, &candidates);
+    // ε is settled up front: ed(u·c, ε) = |u·c|.
+    size_t a = !active.empty() && active[0].pos == epsilon ? 1 : 0;
+    if (new_len <= k_) next->push_back(Entry{epsilon, new_len});
+    internal::ChildStream kids, inserts;
+    auto children = [this](const Entry& e) {
+      const auto& n = trie_.node(e.pos.node);
+      return e.pos == LastPosition(e.pos.node)
+                 ? std::pair{n.first_child, n.first_child + n.num_children}
+                 : std::pair{0, 0};
+    };
+    size_t parent_in_active = 0, parent_in_next = 0;
+    VirtualNode parent = epsilon;
+    for (int32_t n = trie_.root(); n != kNone;) {
+      ScanLabel(n, internal::Seek(active, &parent_in_active, parent),
+                internal::Seek(*next, &parent_in_next, parent), active, &a, c,
+                next);
+      kids.Fill(active, children);
+      inserts.Fill(*next, children);
+      n = inserts.Min(kids.Min(a < active.size() ? active[a].pos.node : kNone));
+      kids.Skip(n);
+      inserts.Skip(n);
+      if (n != kNone) parent = LastPosition(trie_.node(n).parent);
     }
-    for (auto it = candidates.begin(); it != candidates.end(); ++it) {
-      const VirtualNode v = *it;
-      int32_t best;
-      if (v == epsilon) {
-        best = new_len;  // ed(u·c, ε) = |u·c|
-      } else {
-        best = k_ + 1;
-        const VirtualNode parent = Parent(v);
-        const char vc = trie_.LabelChar(v.node, v.offset);
-        const int32_t parent_du = LookupDistance(active, parent);
-        if (parent_du >= 0) {
-          best = std::min(best, parent_du + (vc == c ? 0 : 1));  // diagonal
-        }
-        const int32_t self_du = LookupDistance(active, v);
-        if (self_du >= 0) best = std::min(best, self_du + 1);  // delete c
-        const int32_t parent_dnext = LookupDistance(next, parent);
-        if (parent_dnext >= 0) {
-          best = std::min(best, parent_dnext + 1);  // insert vc
-        }
-      }
-      if (best > k_) continue;
-      next.push_back(ActiveEntry{v, best});  // set order keeps `next` sorted
-      AddChildren(v, &candidates);  // larger positions: visited later
-    }
-    return next;
+    return !next->empty();
   }
 
-  const CompressedInstanceTrie& trie_;
-  const UncertainString& s_;
-  const int k_;
-  const double tau_;
-  VerifyStats* stats_;
-  double total_ = 0.0;
-  double resolved_ = 0.0;
-  bool stopped_ = false;
+  /// Evaluates node n's label positions in offset order.  `up_du` /
+  /// `up_dnext` are the distances of (n, 0)'s parent in A(u) / A(u·c), -1
+  /// when absent; the parent of (n, o > 0) is the position scanned just
+  /// before it.  `*a`, the A(u) cursor, is left past n's members.
+  void ScanLabel(int32_t n, int32_t up_du, int32_t up_dnext,
+                 const ActiveSet& active, size_t* a, char c,
+                 ActiveSet* next) {
+    const int len = trie_.LabelLength(n);
+    for (int32_t off = 0; off < len; ++off) {
+      if (up_du < 0 && up_dnext < 0) {
+        // Unreachable from its parent: only a deletion from A(u) can make
+        // a position active, so jump to n's next member of A(u).
+        if (*a == active.size() || active[*a].pos.node != n) return;
+        off = active[*a].pos.offset;
+      }
+      int32_t best = k_ + 1;
+      int32_t self_du = -1;
+      if (*a < active.size() && active[*a].pos == VirtualNode{n, off}) {
+        self_du = active[(*a)++].dist;
+        best = self_du + 1;  // delete c
+      }
+      if (up_du >= 0) {
+        const int32_t cost = trie_.LabelChar(n, off) == c ? 0 : 1;
+        best = std::min(best, up_du + cost);  // diagonal
+      }
+      if (up_dnext >= 0) best = std::min(best, up_dnext + 1);  // insert
+      up_du = self_du;
+      up_dnext = best <= k_ ? best : -1;
+      if (up_dnext >= 0) next->push_back(Entry{VirtualNode{n, off}, best});
+    }
+  }
 };
 
 }  // namespace
@@ -213,23 +148,15 @@ Result<CompressedTrieVerifier> CompressedTrieVerifier::Create(
 
 double CompressedTrieVerifier::Probability(const UncertainString& s,
                                            VerifyStats* stats) const {
-  if (stats != nullptr) stats->r_trie_nodes += trie_.num_nodes();
-  CompressedTrieWalker walker(trie_, s, k_, stats);
-  return walker.Run();
+  return internal::Walk<CompressedTrieWalker>(trie_, s, k_, /*tau=*/-1.0,
+                                              stats)
+      .lower;
 }
 
 ThresholdVerdict CompressedTrieVerifier::DecideSimilar(
     const UncertainString& s, double tau, VerifyStats* stats) const {
   UJOIN_CHECK(tau >= 0.0 && tau <= 1.0);
-  if (stats != nullptr) stats->r_trie_nodes += trie_.num_nodes();
-  CompressedTrieWalker walker(trie_, s, k_, stats, tau);
-  walker.Run();
-  ThresholdVerdict verdict;
-  verdict.lower = walker.lower_bound();
-  verdict.upper = walker.upper_bound();
-  verdict.exact = !walker.stopped_early();
-  verdict.similar = verdict.lower > tau;
-  return verdict;
+  return internal::Walk<CompressedTrieWalker>(trie_, s, k_, tau, stats);
 }
 
 Result<double> CompressedTrieVerifyProbability(const UncertainString& r,

@@ -9,6 +9,7 @@ Result<InstanceTrie> InstanceTrie::Build(const UncertainString& s,
   InstanceTrie trie;
   trie.depth_ = s.length();
   trie.nodes_.push_back(Node{0, -1, 0, 0, 0, 1.0});
+  trie.prefixes_below_ = {0, 1};
   int32_t level_begin = 0;
   int32_t level_end = 1;
   for (int d = 0; d < s.length(); ++d) {
@@ -33,6 +34,7 @@ Result<InstanceTrie> InstanceTrie::Build(const UncertainString& s,
     }
     level_begin = level_end;
     level_end = static_cast<int32_t>(trie.nodes_.size());
+    trie.prefixes_below_.push_back(level_end);
   }
   return trie;
 }

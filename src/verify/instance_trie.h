@@ -1,6 +1,7 @@
 #ifndef UJOIN_VERIFY_INSTANCE_TRIE_H_
 #define UJOIN_VERIFY_INSTANCE_TRIE_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -45,11 +46,20 @@ class InstanceTrie {
 
   bool IsLeaf(int32_t id) const { return node(id).depth == depth_; }
 
+  /// Number of nodes (prefixes) whose depth lies in [lo, hi].
+  int64_t PrefixesAtDepths(int lo, int hi) const {
+    const int begin = std::clamp(lo, 0, depth_ + 1);
+    const int end = std::clamp(hi + 1, begin, depth_ + 1);
+    return prefixes_below_[static_cast<size_t>(end)] -
+           prefixes_below_[static_cast<size_t>(begin)];
+  }
+
   /// Approximate heap footprint in bytes.
   size_t MemoryUsage() const { return nodes_.capacity() * sizeof(Node); }
 
  private:
   std::vector<Node> nodes_;
+  std::vector<int32_t> prefixes_below_;  // [x]: nodes of depth < x
   int depth_ = 0;
 };
 

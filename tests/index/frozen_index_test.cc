@@ -2,9 +2,6 @@
 // invisible in the results, heap and linear merges must agree bit for bit,
 // and the steady-state probe path must not touch the heap allocator.
 
-#include <atomic>
-#include <cstdlib>
-#include <new>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -14,76 +11,15 @@
 #include "obs/metrics.h"
 #include "obs/obs_macros.h"
 #include "obs/query_log.h"
+#include "testing/alloc_hook.h"
 #include "testing/test_util.h"
 #include "text/alphabet.h"
 #include "util/rng.h"
 
-// ---------------------------------------------------------------------------
-// Global allocation hook.  Counting is off except inside CountAllocations
-// scopes, so gtest's own bookkeeping does not pollute the counter.
-// ---------------------------------------------------------------------------
-
-namespace {
-std::atomic<bool> g_count_allocations{false};
-std::atomic<size_t> g_allocation_count{0};
-
-void* CountedAlloc(std::size_t size) {
-  if (g_count_allocations.load(std::memory_order_relaxed)) {
-    g_allocation_count.fetch_add(1, std::memory_order_relaxed);
-  }
-  void* p = std::malloc(size == 0 ? 1 : size);
-  if (p == nullptr) throw std::bad_alloc();
-  return p;
-}
-
-void* CountedAllocAligned(std::size_t size, std::size_t alignment) {
-  if (g_count_allocations.load(std::memory_order_relaxed)) {
-    g_allocation_count.fetch_add(1, std::memory_order_relaxed);
-  }
-  void* p = std::aligned_alloc(alignment, ((size + alignment - 1) / alignment) *
-                                              alignment);
-  if (p == nullptr) throw std::bad_alloc();
-  return p;
-}
-}  // namespace
-
-void* operator new(std::size_t size) { return CountedAlloc(size); }
-void* operator new[](std::size_t size) { return CountedAlloc(size); }
-void* operator new(std::size_t size, std::align_val_t align) {
-  return CountedAllocAligned(size, static_cast<std::size_t>(align));
-}
-void* operator new[](std::size_t size, std::align_val_t align) {
-  return CountedAllocAligned(size, static_cast<std::size_t>(align));
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
-void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
-
 namespace ujoin {
 namespace {
 
-class CountAllocations {
- public:
-  CountAllocations() {
-    g_allocation_count.store(0, std::memory_order_relaxed);
-    g_count_allocations.store(true, std::memory_order_relaxed);
-  }
-  ~CountAllocations() {
-    g_count_allocations.store(false, std::memory_order_relaxed);
-  }
-  size_t count() const {
-    return g_allocation_count.load(std::memory_order_relaxed);
-  }
-};
+using testing::CountAllocations;
 
 std::vector<IndexCandidate> Copy(std::span<const IndexCandidate> found) {
   return std::vector<IndexCandidate>(found.begin(), found.end());

@@ -1,5 +1,8 @@
 #include "verify/compressed_verifier.h"
 
+#include <algorithm>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "datagen/datagen.h"
@@ -81,6 +84,40 @@ TEST(CompressedTrieTest, BuildsWherePlainTrieOverflows) {
       CompressedInstanceTrie::Build(*s, cap);
   ASSERT_TRUE(trie.ok());
   EXPECT_LT(trie->num_nodes(), 2 * 390625);
+}
+
+TEST(CompressedTrieTest, PrefixesAtDepthsCountsVirtualPositions) {
+  // The verifier sizes its per-depth active-set buffers with this count:
+  // every (node, label offset) position plus the empty prefix at depth 0.
+  Alphabet dna = Alphabet::Dna();
+  Rng rng(410);
+  testing::RandomStringOptions opt;
+  opt.min_length = 0;
+  opt.max_length = 10;
+  opt.theta = 0.4;
+  for (int trial = 0; trial < 40; ++trial) {
+    const UncertainString s = testing::RandomUncertainString(dna, opt, rng);
+    Result<CompressedInstanceTrie> trie = CompressedInstanceTrie::Build(s);
+    ASSERT_TRUE(trie.ok());
+    std::vector<int64_t> per_depth(static_cast<size_t>(s.length()) + 1, 0);
+    per_depth[0] = 1;  // the empty prefix
+    for (int32_t id = 0; id < trie->num_nodes(); ++id) {
+      for (int depth = trie->StartDepth(id) + 1; depth <= trie->EndDepth(id);
+           ++depth) {
+        ++per_depth[static_cast<size_t>(depth)];
+      }
+    }
+    for (int lo = -3; lo <= s.length() + 3; ++lo) {
+      for (int hi = lo - 1; hi <= s.length() + 3; ++hi) {
+        int64_t expected = 0;
+        for (int d = std::max(lo, 0); d <= std::min(hi, s.length()); ++d) {
+          expected += per_depth[static_cast<size_t>(d)];
+        }
+        EXPECT_EQ(trie->PrefixesAtDepths(lo, hi), expected)
+            << s.ToString() << " [" << lo << ", " << hi << "]";
+      }
+    }
+  }
 }
 
 class CompressedEquivalenceTest : public ::testing::TestWithParam<int> {};

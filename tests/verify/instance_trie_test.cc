@@ -101,5 +101,33 @@ TEST(InstanceTrieTest, EmptyStringIsJustRoot) {
   EXPECT_DOUBLE_EQ(trie->node(trie->root()).prob, 1.0);
 }
 
+TEST(InstanceTrieTest, PrefixesAtDepthsCountsNodesPerDepthWindow) {
+  // The verifier sizes its per-depth active-set buffers with this count,
+  // so it must equal a direct tally, including windows that reach past
+  // either end of the trie.
+  Alphabet dna = Alphabet::Dna();
+  Rng rng(409);
+  testing::RandomStringOptions opt;
+  opt.min_length = 0;
+  opt.max_length = 8;
+  opt.theta = 0.5;
+  for (int trial = 0; trial < 40; ++trial) {
+    const UncertainString s = testing::RandomUncertainString(dna, opt, rng);
+    Result<InstanceTrie> trie = InstanceTrie::Build(s);
+    ASSERT_TRUE(trie.ok());
+    for (int lo = -3; lo <= s.length() + 3; ++lo) {
+      for (int hi = lo - 1; hi <= s.length() + 3; ++hi) {
+        int64_t expected = 0;
+        for (int32_t id = 0; id < trie->num_nodes(); ++id) {
+          const int depth = trie->node(id).depth;
+          expected += depth >= lo && depth <= hi ? 1 : 0;
+        }
+        EXPECT_EQ(trie->PrefixesAtDepths(lo, hi), expected)
+            << s.ToString() << " [" << lo << ", " << hi << "]";
+      }
+    }
+  }
+}
+
 }  // namespace
 }  // namespace ujoin

@@ -66,7 +66,7 @@ TSAN_TARGETS=(self_join_parallel_test self_cross_differential_test \
   join_stats_test self_join_test cross_join_test join_obs_test \
   scrape_server_test serve_protocol_test serve_differential_test \
   slow_query_test verify_budget_test simd_kernel_test \
-  flight_recorder_test watchdog_test serve_idle_test)
+  flight_recorder_test watchdog_test serve_idle_test serve_start_stop_test)
 cmake --build build-tsan -j "$JOBS" --target "${TSAN_TARGETS[@]}"
 
 echo "==> [6/14] parallel join tests under TSan"
