@@ -37,6 +37,11 @@ struct VariantCase {
   JoinOptions options;
 };
 
+// Prints the case name only.  Without this, gtest prints the raw bytes of
+// the struct (a string-literal address and padding), which made the
+// registered ctest names differ from one build to the next.
+void PrintTo(const VariantCase& c, std::ostream* os) { *os << c.name; }
+
 class JoinVariantTest : public ::testing::TestWithParam<VariantCase> {};
 
 TEST_P(JoinVariantTest, MatchesExhaustiveGroundTruth) {
