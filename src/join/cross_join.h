@@ -18,8 +18,9 @@ struct CrossJoinResult {
 /// (R, S) ∈ left × right with Pr(ed(R, S) <= k) > τ.
 ///
 /// The smaller collection is indexed once (inverted segment index plus
-/// frequency summaries) and each string of the other collection probes it
-/// through the same filter cascade as the self-join.
+/// frequency summaries) and the other collection probes it with
+/// SimilaritySearcher::SearchMany, through the same filter cascade as the
+/// self-join.
 Result<CrossJoinResult> SimilarityJoin(
     const std::vector<UncertainString>& left,
     const std::vector<UncertainString>& right, const Alphabet& alphabet,

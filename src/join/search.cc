@@ -1,43 +1,19 @@
 #include "join/search.h"
 
 #include <algorithm>
-#include <atomic>
 #include <optional>
-#include <thread>
 
-#include "filter/cdf_filter.h"
+#include "join/candidate_cascade.h"
 #include "join/explain.h"
-#include "join/pair_verifier.h"
+#include "join/parallel_for.h"
 #include "obs/metrics.h"
 #include "obs/obs_macros.h"
 #include "obs/query_log.h"
 #include "obs/trace.h"
 #include "util/check.h"
-#include "util/math_util.h"
 #include "util/timer.h"
-#include "verify/verifier.h"
 
 namespace ujoin {
-
-namespace {
-
-Status ValidateString(const UncertainString& s, const Alphabet& alphabet,
-                      const char* what) {
-  if (s.empty()) {
-    return Status::InvalidArgument(std::string(what) + " is empty");
-  }
-  for (int pos = 0; pos < s.length(); ++pos) {
-    for (const CharProb& cp : s.AlternativesAt(pos)) {
-      if (!alphabet.Contains(cp.symbol)) {
-        return Status::InvalidArgument(std::string(what) + " uses symbol '" +
-                                       cp.symbol + "' outside the alphabet");
-      }
-    }
-  }
-  return Status::OK();
-}
-
-}  // namespace
 
 SimilaritySearcher::SimilaritySearcher(std::vector<UncertainString> collection,
                                        const Alphabet& alphabet,
@@ -52,30 +28,37 @@ Result<SimilaritySearcher> SimilaritySearcher::Create(
     const JoinOptions& options) {
   UJOIN_CHECK(options.k >= 0 && options.q >= 1);
   for (size_t i = 0; i < collection.size(); ++i) {
-    UJOIN_RETURN_IF_ERROR(
-        ValidateString(collection[i], alphabet, "collection string"));
+    UJOIN_RETURN_IF_ERROR(internal::ValidateString(collection[i], alphabet,
+                                                   "collection string"));
   }
   SimilaritySearcher searcher(std::move(collection), alphabet, options);
-  int max_length = 0;
-  for (const UncertainString& s : searcher.collection_) {
-    max_length = std::max(max_length, s.length());
-  }
-  searcher.ids_by_length_.resize(static_cast<size_t>(max_length) + 1);
-  searcher.freq_summaries_.reserve(searcher.collection_.size());
-  for (uint32_t id = 0; id < searcher.collection_.size(); ++id) {
-    const UncertainString& s = searcher.collection_[id];
-    if (options.use_qgram_filter) {
-      UJOIN_RETURN_IF_ERROR(searcher.index_.Insert(id, s));
+  if (options.use_qgram_filter) {
+    for (uint32_t id = 0; id < searcher.collection_.size(); ++id) {
+      UJOIN_RETURN_IF_ERROR(
+          searcher.index_.Insert(id, searcher.collection_[id]));
     }
-    if (options.use_freq_filter) {
-      searcher.freq_summaries_.push_back(FrequencySummary::Build(s, alphabet));
-    }
-    searcher.ids_by_length_[static_cast<size_t>(s.length())].push_back(id);
   }
   // The searcher is read-only from here on: pack the inverted lists into
   // their contiguous arenas once so every later probe scans flat memory.
   searcher.index_.Freeze();
+  searcher.BuildSideStructures();
   return searcher;
+}
+
+void SimilaritySearcher::BuildSideStructures() {
+  int max_length = 0;
+  for (const UncertainString& s : collection_) {
+    max_length = std::max(max_length, s.length());
+  }
+  ids_by_length_.resize(static_cast<size_t>(max_length) + 1);
+  freq_summaries_.reserve(collection_.size());
+  for (uint32_t id = 0; id < collection_.size(); ++id) {
+    const UncertainString& s = collection_[id];
+    if (options_.use_freq_filter) {
+      freq_summaries_.push_back(FrequencySummary::Build(s, alphabet_));
+    }
+    ids_by_length_[static_cast<size_t>(s.length())].push_back(id);
+  }
 }
 
 Result<std::vector<SearchHit>> SimilaritySearcher::Search(
@@ -92,7 +75,7 @@ Result<std::vector<SearchHit>> SimilaritySearcher::SearchImpl(
     QueryWorkspace* workspace, obs::Recorder* metrics,
     obs::SpanCollector* spans, const SearchLimits& limits,
     ExplainData* explain) const {
-  UJOIN_RETURN_IF_ERROR(ValidateString(query, alphabet_, "query"));
+  UJOIN_RETURN_IF_ERROR(internal::ValidateString(query, alphabet_, "query"));
   JoinStats local_stats;
   if (stats == nullptr) stats = &local_stats;
   QueryWorkspace local_workspace;
@@ -120,14 +103,9 @@ Result<std::vector<SearchHit>> SimilaritySearcher::SearchImpl(
     ~ExplainRestore() { ws->explain_merged = saved; }
   } explain_restore{workspace, saved_ws_explain};
 
-  // `stats` may be caller-owned and already non-zero, so the funnel deltas
-  // for this query are computed against base snapshots taken here.
-  const int64_t base_length_compatible = stats->length_compatible_pairs;
-  const int64_t base_qgram = stats->qgram_candidates;
-  const int64_t base_freq = stats->freq_candidates;
-  const int64_t base_cdf_rejected = stats->cdf_rejected;
-  const int64_t base_verified = stats->verified_pairs;
-  int64_t verify_emitted = 0;
+  // `stats` may be caller-owned and already non-zero, so the cascade
+  // computes this query's funnel deltas against a snapshot taken here.
+  const JoinStats base = *stats;
 
   UJOIN_OBS_FLIGHT_EVENT(
       obs::FlightEvent::kQueryBegin, limits.deadline_ns,
@@ -144,13 +122,8 @@ Result<std::vector<SearchHit>> SimilaritySearcher::SearchImpl(
   } flight_query_end;
   Timer total_timer;
   const int64_t query_span_start = spans->NowNs();
-  // Sub-millisecond per-pair stages accumulate integer nanoseconds and fold
-  // into the seconds-based stats once per query.
   int64_t qgram_ns = 0;
   int64_t freq_ns = 0;
-  int64_t cdf_ns = 0;
-  int64_t verify_ns = 0;
-  std::vector<SearchHit> hits;
 
   std::optional<FrequencySummary> query_summary;
   if (options_.use_freq_filter) {
@@ -162,15 +135,6 @@ Result<std::vector<SearchHit>> SimilaritySearcher::SearchImpl(
     effective_options.always_verify = true;
     effective_options.early_stop_verification = false;
   }
-  internal::PairVerifier verifier(query, effective_options);
-  // World-count factor of the query, computed once and only when someone
-  // consumes it — a recorder, or the verification budget (WorldCount walks
-  // every position).
-  const bool budget_active = limits.max_verify_worlds > 0;
-  const bool limit_active = budget_active || limits.deadline_ns > 0;
-  const bool want_worlds = UJOIN_OBS_ENABLED(metrics) || budget_active ||
-                           explain != nullptr || UJOIN_OBS_FLIGHT_ENABLED();
-  const int64_t q_worlds = want_worlds ? query.WorldCount() : 0;
 
   const double qgram_tau =
       options_.qgram_probabilistic_pruning ? options_.tau : 0.0;
@@ -255,195 +219,36 @@ Result<std::vector<SearchHit>> SimilaritySearcher::SearchImpl(
                          static_cast<int64_t>(obs::FunnelStage::kQgram),
                          static_cast<int64_t>(candidates.size()));
 
-  const int64_t cascade_start = spans->NowNs();
-  size_t explain_ci = 0;
-  for (uint32_t id : candidates) {
-    const UncertainString& s = collection_[id];
-    // Explain rows were appended in candidate order above, so the running
-    // index pairs each cascade pass with its narrative row.
-    ExplainCandidate* const ec =
-        explain != nullptr ? &explain->candidates[explain_ci++] : nullptr;
-    if (options_.use_freq_filter) {
-      ScopedNanoTimer timer(&freq_ns);
-      const FreqFilterOutcome freq =
-          EvaluateFreqFilter(*query_summary, freq_summaries_[id], options_.k);
-      if (ec != nullptr) {
-        ec->have_freq = true;
-        ec->freq_lower_bound = freq.fd_lower_bound;
-        ec->freq_upper_bound = freq.upper_bound;
-      }
-      if (freq.fd_lower_bound > options_.k) {
-        ++stats->freq_lower_pruned;
-        if (ec != nullptr) ec->stage = ExplainStage::kFreqLowerPruned;
-        continue;
-      }
-      if (freq.upper_bound <= options_.tau) {
-        ++stats->freq_upper_pruned;
-        if (ec != nullptr) ec->stage = ExplainStage::kFreqUpperPruned;
-        continue;
-      }
-    }
-    ++stats->freq_candidates;
-
-    bool need_verify = true;
-    bool have_cdf = false;
-    double cdf_lower = 0.0;
-    if (options_.use_cdf_filter) {
-      ScopedNanoTimer timer(&cdf_ns);
-      const CdfFilterOutcome cdf =
-          EvaluateCdfFilter(query, s, options_.k, options_.tau);
-      have_cdf = true;
-      cdf_lower = cdf.bounds.lower[static_cast<size_t>(options_.k)];
-      if (ec != nullptr) {
-        ec->have_cdf = true;
-        ec->cdf_lower = cdf_lower;
-      }
-      if (cdf.decision == CdfDecision::kReject) {
-        ++stats->cdf_rejected;
-        if (ec != nullptr) ec->stage = ExplainStage::kCdfRejected;
-        continue;
-      }
-      if (cdf.decision == CdfDecision::kAccept) {
-        ++stats->cdf_accepted;
-        if (!effective_options.always_verify) {
-          need_verify = false;
-        }
-      } else {
-        ++stats->cdf_undecided;
-      }
-    }
-
-    if (!need_verify) {
-      ++stats->result_pairs;
-      hits.push_back(SearchHit{id, cdf_lower, /*exact=*/false});
-      if (ec != nullptr) {
-        ec->stage = ExplainStage::kCdfAccepted;
-        ec->emitted = true;
-        ec->probability = cdf_lower;
-        ec->exact = false;
-      }
-      continue;
-    }
-
-    // Per-query limits (the serve layer's deadline / verification budget):
-    // when this pair's exact verification is forbidden, decide it from the
-    // certified CDF lower bound instead and mark the query inexact.  The
-    // budget is a pure function of the two strings, so budget-limited
-    // results stay deterministic; the deadline is wall-clock and is not.
-    if (limit_active) {
-      const bool over_budget = ExceedsWorldBudget(
-          SaturatingMul(q_worlds, s.WorldCount()), limits.max_verify_worlds);
-      const bool over_deadline =
-          !over_budget && limits.deadline_ns > 0 &&
-          total_timer.ElapsedNanos() > limits.deadline_ns;
-      if (over_budget || over_deadline) {
-        if (!have_cdf) {
-          ScopedNanoTimer timer(&cdf_ns);
-          const CdfFilterOutcome cdf =
-              EvaluateCdfFilter(query, s, options_.k, options_.tau);
-          cdf_lower = cdf.bounds.lower[static_cast<size_t>(options_.k)];
-        }
-        if (over_budget) {
-          ++stats->budget_fallbacks;
-          UJOIN_OBS_COUNTER(metrics, obs::Counter::kVerifyBudgetFallbacks, 1);
-        } else {
-          ++stats->deadline_fallbacks;
-          UJOIN_OBS_COUNTER(metrics, obs::Counter::kVerifyDeadlineFallbacks,
-                            1);
-        }
-        if (ec != nullptr) {
-          ec->have_cdf = true;
-          ec->cdf_lower = cdf_lower;
-          ec->stage = over_budget ? ExplainStage::kBudgetFallback
-                                  : ExplainStage::kDeadlineFallback;
-        }
-        if (cdf_lower > options_.tau) {
-          ++stats->result_pairs;
-          hits.push_back(SearchHit{id, cdf_lower, /*exact=*/false});
-          if (ec != nullptr) {
-            ec->emitted = true;
-            ec->probability = cdf_lower;
-            ec->exact = false;
-          }
-        }
-        continue;
-      }
-    }
-
-    const int64_t pair_worlds =
-        want_worlds ? SaturatingMul(q_worlds, s.WorldCount()) : 0;
-    UJOIN_OBS_FLIGHT_EVENT(obs::FlightEvent::kVerifyBegin, pair_worlds, 0);
-    Timer verify_timer;
-    ++stats->verified_pairs;
-    const int64_t nodes_before = stats->verify_stats.explored_s_nodes;
-    Result<ThresholdVerdict> verdict =
-        verifier.Decide(s, options_.tau, &stats->verify_stats);
-    const int64_t pair_verify_ns = verify_timer.ElapsedNanos();
-    verify_ns += pair_verify_ns;
-    UJOIN_OBS_HIST(metrics, obs::Hist::kVerifyLatencyNs, pair_verify_ns);
-    UJOIN_OBS_HIST(metrics, obs::Hist::kExploredTrieNodes,
-                   stats->verify_stats.explored_s_nodes - nodes_before);
-    UJOIN_OBS_HIST(metrics, obs::Hist::kVerifyWorldCount, pair_worlds);
-    if (!verdict.ok()) return verdict.status();
-    if (ec != nullptr) {
-      ec->stage = ExplainStage::kVerified;
-      ec->verify_worlds = pair_worlds;
-    }
-    if (verdict->similar) {
-      ++stats->result_pairs;
-      ++verify_emitted;
-      hits.push_back(SearchHit{id, verdict->lower, verdict->exact});
-      if (ec != nullptr) {
-        ec->emitted = true;
-        ec->probability = verdict->lower;
-        ec->exact = verdict->exact;
-      }
-    }
-  }
-
-  stats->qgram_time += 1e-9 * static_cast<double>(qgram_ns);
-  stats->freq_time += 1e-9 * static_cast<double>(freq_ns);
-  stats->cdf_time += 1e-9 * static_cast<double>(cdf_ns);
-  stats->verify_time += 1e-9 * static_cast<double>(verify_ns);
-  UJOIN_OBS_COUNTER(metrics, obs::Counter::kKernelFreqDistNs, freq_ns);
-  UJOIN_OBS_COUNTER(metrics, obs::Counter::kKernelCdfDpNs, cdf_ns);
-
-  // Filter-funnel flow for this query, as deltas against the base snapshots
-  // (a disabled stage is a pass-through: entered == survived).
-  UJOIN_OBS_FUNNEL(metrics, obs::FunnelStage::kQgram,
-                   stats->length_compatible_pairs - base_length_compatible,
-                   stats->qgram_candidates - base_qgram);
-  UJOIN_OBS_FUNNEL(metrics, obs::FunnelStage::kFreqDistance,
-                   stats->qgram_candidates - base_qgram,
-                   stats->freq_candidates - base_freq);
-  UJOIN_OBS_FUNNEL(metrics, obs::FunnelStage::kCdfBound,
-                   stats->freq_candidates - base_freq,
-                   (stats->freq_candidates - base_freq) -
-                       (stats->cdf_rejected - base_cdf_rejected));
-  UJOIN_OBS_FUNNEL(metrics, obs::FunnelStage::kVerify,
-                   stats->verified_pairs - base_verified, verify_emitted);
+  std::vector<SearchHit> hits;
+  UJOIN_RETURN_IF_ERROR(internal::RunCandidateCascade(
+      internal::CascadeProbe{
+          .r = query,
+          .r_summary = query_summary.has_value() ? &*query_summary : nullptr,
+          .options = effective_options,
+          .limits = limits,
+          .clock = total_timer,
+          .base = base,
+          .qgram_ns = qgram_ns,
+          .freq_ns = freq_ns,
+          .metrics = metrics,
+          .spans = *spans,
+          .explain = explain != nullptr ? explain->candidates.data() : nullptr},
+      candidates,
+      [&](uint32_t id) -> const UncertainString& { return collection_[id]; },
+      [&](uint32_t id) -> const FrequencySummary& {
+        return freq_summaries_[id];
+      },
+      stats,
+      [&](uint32_t id, double probability, bool exact) {
+        hits.push_back(SearchHit{id, probability, exact});
+      }));
 
   UJOIN_OBS_COUNTER(metrics, obs::Counter::kQueries, 1);
   UJOIN_OBS_COUNTER(metrics, obs::Counter::kProbes, 1);
   const int64_t query_ns = total_timer.ElapsedNanos();
   UJOIN_OBS_HIST(metrics, obs::Hist::kProbeLatencyNs, query_ns);
 
-  if (spans->enabled()) {
-    // Aggregate per-pair stage times as back-to-back synthetic spans from
-    // the cascade's start (see DESIGN.md "Observability").
-    int64_t t = cascade_start;
-    if (options_.use_freq_filter) {
-      spans->Span("freq_filter", t, freq_ns);
-      t += freq_ns;
-    }
-    if (options_.use_cdf_filter) {
-      spans->Span("cdf_dp", t, cdf_ns);
-      t += cdf_ns;
-    }
-    if (verify_ns > 0) spans->Span("trie_verify", t, verify_ns);
-    spans->Span("search", query_span_start,
-                spans->NowNs() - query_span_start);
-  }
+  spans->Span("search", query_span_start, spans->NowNs() - query_span_start);
 
   std::sort(hits.begin(), hits.end());
   stats->total_time = total_timer.ElapsedSeconds();
@@ -606,7 +411,8 @@ Result<SimilaritySearcher> SimilaritySearcher::Load(const std::string& path,
   for (uint64_t i = 0; i < *count; ++i) {
     Result<UncertainString> s = DeserializeUncertainString(&reader);
     if (!s.ok()) return s.status();
-    UJOIN_RETURN_IF_ERROR(ValidateString(*s, alphabet, "persisted string"));
+    UJOIN_RETURN_IF_ERROR(
+        internal::ValidateString(*s, alphabet, "persisted string"));
     collection.push_back(std::move(s).value());
   }
 
@@ -625,20 +431,7 @@ Result<SimilaritySearcher> SimilaritySearcher::Load(const std::string& path,
     searcher.index_ = std::move(index).value();
     searcher.index_.Freeze();
   }
-  // Rebuild the cheap side structures.
-  int max_length = 0;
-  for (const UncertainString& s : searcher.collection_) {
-    max_length = std::max(max_length, s.length());
-  }
-  searcher.ids_by_length_.resize(static_cast<size_t>(max_length) + 1);
-  searcher.freq_summaries_.reserve(searcher.collection_.size());
-  for (uint32_t id = 0; id < searcher.collection_.size(); ++id) {
-    const UncertainString& s = searcher.collection_[id];
-    if (options.use_freq_filter) {
-      searcher.freq_summaries_.push_back(FrequencySummary::Build(s, alphabet));
-    }
-    searcher.ids_by_length_[static_cast<size_t>(s.length())].push_back(id);
-  }
+  searcher.BuildSideStructures();
   return searcher;
 }
 
@@ -647,12 +440,7 @@ Result<std::vector<std::vector<SearchHit>>> SimilaritySearcher::SearchMany(
     JoinStats* stats, obs::Recorder* metrics,
     obs::TraceRecorder* trace_sink, const SearchLimits* limits,
     obs::QueryLog* query_log) const {
-  if (threads <= 0) {
-    threads = static_cast<int>(std::thread::hardware_concurrency());
-    if (threads <= 0) threads = 1;
-  }
-  threads = std::min(
-      threads, static_cast<int>(std::max<size_t>(queries.size(), 1)));
+  threads = internal::ResolveThreads(threads, queries.size());
   std::vector<Result<std::vector<SearchHit>>> results(
       queries.size(), Result<std::vector<SearchHit>>(std::vector<SearchHit>{}));
   // Per-query stats folded in query order below, so the aggregate is the
@@ -672,8 +460,10 @@ Result<std::vector<std::vector<SearchHit>>> SimilaritySearcher::SearchMany(
       per_query_metrics ? queries.size() : 0);
   std::vector<obs::SpanCollector> query_spans(
       trace != nullptr ? queries.size() : 0);
-  const auto run_query = [&](int worker, size_t i,
-                             QueryWorkspace* workspace) {
+  // One query workspace per worker: queries reuse its buffers so the
+  // steady-state candidate-generation stage does not allocate.
+  std::vector<QueryWorkspace> workspaces(static_cast<size_t>(threads));
+  internal::ParallelFor(threads, queries.size(), [&](int worker, size_t i) {
     obs::Recorder* const rec =
         per_query_metrics ? &query_metrics[i] : nullptr;
     obs::SpanCollector* span_sink = nullptr;
@@ -688,30 +478,10 @@ Result<std::vector<std::vector<SearchHit>>> SimilaritySearcher::SearchMany(
           obs::SpanCollector(trace, static_cast<uint32_t>(worker) + 1);
       span_sink = &query_spans[i];
     }
-    results[i] = Search(queries[i], &query_stats[i], workspace, rec,
+    results[i] = Search(queries[i], &query_stats[i],
+                        &workspaces[static_cast<size_t>(worker)], rec,
                         span_sink, limits);
-  };
-  if (threads == 1) {
-    QueryWorkspace workspace;
-    for (size_t i = 0; i < queries.size(); ++i) {
-      run_query(/*worker=*/0, i, &workspace);
-    }
-  } else {
-    std::vector<QueryWorkspace> workspaces(static_cast<size_t>(threads));
-    std::atomic<size_t> next{0};
-    std::vector<std::thread> workers;
-    workers.reserve(static_cast<size_t>(threads));
-    for (int t = 0; t < threads; ++t) {
-      workers.emplace_back([&, t]() {
-        for (;;) {
-          const size_t i = next.fetch_add(1);
-          if (i >= queries.size()) return;
-          run_query(t, i, &workspaces[static_cast<size_t>(t)]);
-        }
-      });
-    }
-    for (std::thread& worker : workers) worker.join();
-  }
+  });
   std::vector<std::vector<SearchHit>> out;
   out.reserve(queries.size());
   for (size_t i = 0; i < queries.size(); ++i) {

@@ -157,6 +157,10 @@ class SimilaritySearcher {
   SimilaritySearcher(std::vector<UncertainString> collection,
                      const Alphabet& alphabet, const JoinOptions& options);
 
+  /// Builds ids_by_length_ and freq_summaries_ from the collection (Create
+  /// and Load; neither is persisted).
+  void BuildSideStructures();
+
   Result<std::vector<SearchHit>> SearchImpl(const UncertainString& query,
                                             JoinStats* stats, bool force_exact,
                                             QueryWorkspace* workspace,

@@ -1,50 +1,24 @@
 #include "join/self_join.h"
 
 #include <algorithm>
-#include <atomic>
-#include <memory>
 #include <numeric>
-#include <optional>
 #include <span>
-#include <thread>
+#include <string>
 
-#include "filter/cdf_filter.h"
 #include "filter/freq_filter.h"
 #include "index/segment_index.h"
+#include "join/candidate_cascade.h"
 #include "join/pair_verifier.h"
+#include "join/parallel_for.h"
 #include "obs/metrics.h"
 #include "obs/obs_macros.h"
 #include "obs/trace.h"
 #include "util/check.h"
-#include "util/math_util.h"
 #include "util/timer.h"
 
 namespace ujoin {
 
 namespace {
-
-Status ValidateCollection(const std::vector<UncertainString>& collection,
-                          const Alphabet& alphabet) {
-  // ujoin-effect: declares(alloc) -- error messages concatenate
-  // std::to_string; validation runs once per join, before the waves.
-  for (size_t i = 0; i < collection.size(); ++i) {
-    const UncertainString& s = collection[i];
-    if (s.empty()) {
-      return Status::InvalidArgument("string " + std::to_string(i) +
-                                     " is empty");
-    }
-    for (int pos = 0; pos < s.length(); ++pos) {
-      for (const CharProb& cp : s.AlternativesAt(pos)) {
-        if (!alphabet.Contains(cp.symbol)) {
-          return Status::InvalidArgument(
-              std::string("string ") + std::to_string(i) + " uses symbol '" +
-              cp.symbol + "' outside the alphabet");
-        }
-      }
-    }
-  }
-  return Status::OK();
-}
 
 // Visiting order: ascending length, ties by original index.  Each string
 // only pairs with strings of smaller visiting position, so each unordered
@@ -65,44 +39,6 @@ void EmitPair(uint32_t a, uint32_t b, double probability, bool exact,
               std::vector<JoinPair>* pairs) {
   if (a > b) std::swap(a, b);
   pairs->push_back(JoinPair{a, b, probability, exact});
-}
-
-int ResolveThreads(int requested, size_t work_items) {
-  int threads = requested;
-  if (threads <= 0) {
-    threads = static_cast<int>(std::thread::hardware_concurrency());
-    if (threads <= 0) threads = 1;
-  }
-  return std::min(threads,
-                  static_cast<int>(std::max<size_t>(work_items, 1)));
-}
-
-// Runs fn(worker, rank) for every rank in [0, count).  Ranks are handed out
-// through an atomic counter, so the assignment of ranks to threads is
-// arbitrary — correctness requires fn to touch only rank-private state plus
-// worker-private scratch (each pool thread has a fixed worker id, so
-// worker-indexed buffers like QueryWorkspaces are never shared).
-template <typename Fn>
-void RunWaveTasks(int threads, uint32_t count, const Fn& fn) {
-  if (count == 0) return;
-  const int workers = std::min(threads, static_cast<int>(count));
-  if (workers <= 1) {
-    for (uint32_t rank = 0; rank < count; ++rank) fn(0, rank);
-    return;
-  }
-  std::atomic<uint32_t> next{0};
-  std::vector<std::thread> pool;
-  pool.reserve(static_cast<size_t>(workers));
-  for (int t = 0; t < workers; ++t) {
-    pool.emplace_back([&, t]() {
-      for (;;) {
-        const uint32_t rank = next.fetch_add(1);
-        if (rank >= count) return;
-        fn(t, rank);
-      }
-    });
-  }
-  for (std::thread& worker : pool) worker.join();
 }
 
 // Result of one probe task: rank-private, merged in (wave, rank) order so
@@ -130,7 +66,10 @@ Result<SelfJoinResult> SimilaritySelfJoin(
     const JoinOptions& options) {
   UJOIN_CHECK(options.k >= 0 && options.q >= 1);
   UJOIN_CHECK(options.tau >= 0.0 && options.tau <= 1.0);
-  UJOIN_RETURN_IF_ERROR(ValidateCollection(collection, alphabet));
+  for (size_t i = 0; i < collection.size(); ++i) {
+    UJOIN_RETURN_IF_ERROR(internal::ValidateString(
+        collection[i], alphabet, "string " + std::to_string(i)));
+  }
 
   SelfJoinResult result;
   JoinStats& stats = result.stats;
@@ -143,7 +82,7 @@ Result<SelfJoinResult> SimilaritySelfJoin(
     lengths[i] = collection[order[i]].length();
   }
 
-  const int threads = ResolveThreads(options.threads, n);
+  const int threads = internal::ResolveThreads(options.threads, n);
   const uint32_t wave_size =
       options.wave_size > 0
           ? static_cast<uint32_t>(options.wave_size)
@@ -208,7 +147,8 @@ Result<SelfJoinResult> SimilaritySelfJoin(
     // ones, so the whole wave's summaries must exist before phase 3.
     if (options.use_freq_filter) {
       const int64_t span_start = trace != nullptr ? trace->NowNs() : 0;
-      RunWaveTasks(threads, wave_count, [&](int /*worker*/, uint32_t rank) {
+      internal::ParallelFor(threads, wave_count, [&](int /*worker*/,
+                                                     size_t rank) {
         ScopedTimer timer(&outcomes[rank].stats.freq_time);
         freq_summaries[wave_start + rank] =
             FrequencySummary::Build(collection[order[wave_start + rank]],
@@ -222,9 +162,9 @@ Result<SelfJoinResult> SimilaritySelfJoin(
 
     // ---- phase 3 (parallel): probe the frozen index ----------------------
     const int64_t probe_phase_start = trace != nullptr ? trace->NowNs() : 0;
-    RunWaveTasks(threads, wave_count, [&](int worker, uint32_t rank) {
+    internal::ParallelFor(threads, wave_count, [&](int worker, size_t rank) {
       QueryWorkspace& workspace = workspaces[static_cast<size_t>(worker)];
-      const uint32_t i = wave_start + rank;
+      const uint32_t i = wave_start + static_cast<uint32_t>(rank);
       UJOIN_OBS_FLIGHT_EVENT(obs::FlightEvent::kProbeBegin, worker, i);
       const UncertainString& r = collection[order[i]];
       const int len = lengths[i];
@@ -240,20 +180,15 @@ Result<SelfJoinResult> SimilaritySelfJoin(
       // Probe-span sampling: the keep/drop decision is a pure function of
       // (sampling seed, global probe index), so sampled traces are identical
       // for every thread count.  Driver/wave spans are never sampled out.
-      if (trace != nullptr &&
-          trace->SampleProbe(static_cast<int64_t>(wave_start) + rank)) {
+      if (trace != nullptr && trace->SampleProbe(static_cast<int64_t>(i))) {
         outcome.spans =
             obs::SpanCollector(trace, static_cast<uint32_t>(worker) + 1);
       }
       obs::SpanCollector& spans = outcome.spans;
+      const JoinStats base = pstats;
       Timer probe_timer;
       const int64_t probe_span_start = spans.NowNs();
-      // Sub-millisecond per-pair stages accumulate integer nanoseconds and
-      // fold into the seconds-based JoinStats fields once per rank.
       int64_t qgram_ns = 0;
-      int64_t freq_ns = 0;
-      int64_t cdf_ns = 0;
-      int64_t verify_ns = 0;
 
       // ---- candidate generation ----------------------------------------
       // Strings of smaller visiting position with length in [len - k, len]
@@ -276,144 +211,50 @@ Result<SelfJoinResult> SimilaritySelfJoin(
         }
         timer.StopAndGet();
         spans.Span("qgram_probe", span_start, spans.NowNs() - span_start);
-        pstats.qgram_candidates += static_cast<int64_t>(candidates.size());
       } else {
         const uint32_t first =
             static_cast<uint32_t>(window_begin - lengths.begin());
         for (uint32_t j = first; j < i; ++j) candidates.push_back(j);
-        pstats.qgram_candidates += static_cast<int64_t>(candidates.size());
       }
+      pstats.qgram_candidates += static_cast<int64_t>(candidates.size());
 
       // ---- per-candidate filter cascade ---------------------------------
-      internal::PairVerifier verifier(r, options);
-      // World-count factor of the probing string, computed once per rank and
-      // only while recording (WorldCount walks every position).  The flight
-      // recorder wants it too: its verify-begin events carry the world
-      // estimate the watchdog reports for stalled verifications.
-      const bool want_worlds =
-          UJOIN_OBS_ENABLED(rec) || UJOIN_OBS_FLIGHT_ENABLED();
-      const int64_t r_worlds = want_worlds ? r.WorldCount() : 0;
-      int64_t verify_emitted = 0;
-      const int64_t cascade_start = spans.NowNs();
-      for (uint32_t j : candidates) {
-        const UncertainString& s = collection[order[j]];
-
-        if (options.use_freq_filter) {
-          ScopedNanoTimer timer(&freq_ns);
-          const FreqFilterOutcome freq = EvaluateFreqFilter(
-              freq_summaries[i], freq_summaries[j], options.k);
-          if (freq.fd_lower_bound > options.k) {
-            ++pstats.freq_lower_pruned;
-            continue;
-          }
-          if (freq.upper_bound <= options.tau) {
-            ++pstats.freq_upper_pruned;
-            continue;
-          }
-        }
-        ++pstats.freq_candidates;
-
-        bool need_verify = true;
-        double accepted_lower_bound = 0.0;
-        if (options.use_cdf_filter) {
-          ScopedNanoTimer timer(&cdf_ns);
-          const CdfFilterOutcome cdf =
-              EvaluateCdfFilter(r, s, options.k, options.tau);
-          if (cdf.decision == CdfDecision::kReject) {
-            ++pstats.cdf_rejected;
-            continue;
-          }
-          if (cdf.decision == CdfDecision::kAccept) {
-            ++pstats.cdf_accepted;
-            if (!options.always_verify) {
-              accepted_lower_bound =
-                  cdf.bounds.lower[static_cast<size_t>(options.k)];
-              need_verify = false;
-            }
-          } else {
-            ++pstats.cdf_undecided;
-          }
-        }
-
-        if (!need_verify) {
-          ++pstats.result_pairs;
-          EmitPair(order[i], order[j], accepted_lower_bound, /*exact=*/false,
-                   &outcome.pairs);
-          continue;
-        }
-
-        const int64_t pair_worlds =
-            want_worlds ? SaturatingMul(r_worlds, s.WorldCount()) : 0;
-        UJOIN_OBS_FLIGHT_EVENT(obs::FlightEvent::kVerifyBegin, pair_worlds, 0);
-        Timer verify_timer;
-        ++pstats.verified_pairs;
-        const int64_t nodes_before = pstats.verify_stats.explored_s_nodes;
-        Result<ThresholdVerdict> verdict =
-            verifier.Decide(s, options.tau, &pstats.verify_stats);
-        const int64_t pair_verify_ns = verify_timer.ElapsedNanos();
-        verify_ns += pair_verify_ns;
-        UJOIN_OBS_HIST(rec, obs::Hist::kVerifyLatencyNs, pair_verify_ns);
-        UJOIN_OBS_HIST(rec, obs::Hist::kExploredTrieNodes,
-                       pstats.verify_stats.explored_s_nodes - nodes_before);
-        UJOIN_OBS_HIST(rec, obs::Hist::kVerifyWorldCount, pair_worlds);
-        if (!verdict.ok()) {
-          outcome.status = verdict.status();
-          return;
-        }
-        if (verdict->similar) {
-          ++pstats.result_pairs;
-          ++verify_emitted;
-          EmitPair(order[i], order[j], verdict->lower, verdict->exact,
-                   &outcome.pairs);
-        }
+      // The self-join never applies per-query limits: every candidate the
+      // filters pass is verified exactly.
+      const Status cascade = internal::RunCandidateCascade(
+          internal::CascadeProbe{
+              .r = r,
+              .r_summary =
+                  options.use_freq_filter ? &freq_summaries[i] : nullptr,
+              .options = options,
+              .limits = SearchLimits{},
+              .clock = probe_timer,
+              .base = base,
+              .qgram_ns = qgram_ns,
+              .freq_ns = 0,
+              .metrics = rec,
+              .spans = spans,
+              .explain = nullptr},
+          candidates,
+          [&](uint32_t j) -> const UncertainString& {
+            return collection[order[j]];
+          },
+          [&](uint32_t j) -> const FrequencySummary& {
+            return freq_summaries[j];
+          },
+          &pstats,
+          [&](uint32_t j, double probability, bool exact) {
+            EmitPair(order[i], order[j], probability, exact, &outcome.pairs);
+          });
+      if (!cascade.ok()) {
+        outcome.status = cascade;
+        return;
       }
-
-      // Fold the nano accumulators into the seconds-based stats once per
-      // rank (satellite: no per-pair seconds-double round-trips).
-      pstats.qgram_time += 1e-9 * static_cast<double>(qgram_ns);
-      pstats.freq_time += 1e-9 * static_cast<double>(freq_ns);
-      pstats.cdf_time += 1e-9 * static_cast<double>(cdf_ns);
-      pstats.verify_time += 1e-9 * static_cast<double>(verify_ns);
-      UJOIN_OBS_COUNTER(rec, obs::Counter::kKernelFreqDistNs, freq_ns);
-      UJOIN_OBS_COUNTER(rec, obs::Counter::kKernelCdfDpNs, cdf_ns);
-
-      // Filter-funnel flow for this rank, read off the rank-private stats
-      // (they start at zero, so these are exactly this probe's deltas).  A
-      // disabled stage is a pass-through — entered == survived — by
-      // construction of the counters above.
-      UJOIN_OBS_FUNNEL(rec, obs::FunnelStage::kQgram,
-                       pstats.length_compatible_pairs,
-                       pstats.qgram_candidates);
-      UJOIN_OBS_FUNNEL(rec, obs::FunnelStage::kFreqDistance,
-                       pstats.qgram_candidates, pstats.freq_candidates);
-      UJOIN_OBS_FUNNEL(rec, obs::FunnelStage::kCdfBound,
-                       pstats.freq_candidates,
-                       pstats.freq_candidates - pstats.cdf_rejected);
-      UJOIN_OBS_FUNNEL(rec, obs::FunnelStage::kVerify, pstats.verified_pairs,
-                       verify_emitted);
 
       outcome.probe_ns = probe_timer.ElapsedNanos();
       UJOIN_OBS_HIST(rec, obs::Hist::kProbeLatencyNs, outcome.probe_ns);
       workspace.obs = nullptr;
-
-      if (spans.enabled()) {
-        // The per-pair filter/verify stages interleave, so they are emitted
-        // as aggregate spans laid back to back from the cascade's start;
-        // each span's duration is that stage's summed time in this rank
-        // (documented in DESIGN.md "Observability").
-        int64_t t = cascade_start;
-        if (options.use_freq_filter) {
-          spans.Span("freq_filter", t, freq_ns);
-          t += freq_ns;
-        }
-        if (options.use_cdf_filter) {
-          spans.Span("cdf_dp", t, cdf_ns);
-          t += cdf_ns;
-        }
-        if (verify_ns > 0) spans.Span("trie_verify", t, verify_ns);
-        spans.Span("probe", probe_span_start,
-                   spans.NowNs() - probe_span_start);
-      }
+      spans.Span("probe", probe_span_start, spans.NowNs() - probe_span_start);
     });
 
     if (trace != nullptr) {
@@ -486,7 +327,10 @@ Result<SelfJoinResult> SimilaritySelfJoin(
 Result<SelfJoinResult> ExhaustiveSelfJoin(
     const std::vector<UncertainString>& collection, const Alphabet& alphabet,
     const JoinOptions& options) {
-  UJOIN_RETURN_IF_ERROR(ValidateCollection(collection, alphabet));
+  for (size_t i = 0; i < collection.size(); ++i) {
+    UJOIN_RETURN_IF_ERROR(internal::ValidateString(
+        collection[i], alphabet, "string " + std::to_string(i)));
+  }
   SelfJoinResult result;
   Timer total_timer;
   const std::vector<uint32_t> order = LengthSortedOrder(collection);

@@ -1,10 +1,12 @@
 // Differential test (exactness of the wave-parallel self-join): on the same
 // collection C, SimilaritySelfJoin(C) must report exactly the pairs of the
-// independently implemented two-collection SimilarityJoin(C, C) restricted
-// to lhs < rhs.  The two drivers share the filter theory but not the driver
-// code (index-then-probe-all versus wave-batched scan with id limits), so
-// agreement across randomized collections and all four paper variants is
-// strong evidence both are exact.
+// two-collection SimilarityJoin(C, C) restricted to lhs < rhs.  The two
+// drivers share the per-candidate cascade (join/candidate_cascade.h) but not
+// candidate generation or scheduling (index-then-probe-all versus
+// wave-batched scan with id limits), so agreement across randomized
+// collections and all four paper variants is strong evidence that both
+// generate every candidate.  ExhaustiveSelfJoin, which runs no filter at
+// all, remains the independent oracle for the cascade (self_join_test.cc).
 
 #include <map>
 #include <set>
@@ -46,6 +48,10 @@ struct VariantCase {
   const char* name;
   JoinOptions options;
 };
+
+// Prints the case name only, so the registered ctest names are the same in
+// every build (gtest's default prints the struct's raw bytes).
+void PrintTo(const VariantCase& c, std::ostream* os) { *os << c.name; }
 
 class SelfCrossDifferentialTest : public ::testing::TestWithParam<VariantCase> {
 };

@@ -170,6 +170,42 @@ TEST(SelfJoinTest, StatsFlowAddsUp) {
   EXPECT_FALSE(stats.ToString().empty());
 }
 
+// The self-join and the searcher share one candidate cascade, but only the
+// searcher applies per-query limits: the self-join never reads
+// JoinOptions::limits, even limits that would send every verification to
+// its CDF fallback.
+TEST(SelfJoinTest, IgnoresSearchLimits) {
+  const Alphabet alphabet = Alphabet::Names();
+  const std::vector<UncertainString> collection = SmallDataset(80, 0.3, 37);
+  const JoinOptions options = JoinOptions::Qfct(2, 0.1);
+  JoinOptions limited = options;
+  limited.limits.max_verify_worlds = 1;
+  limited.limits.deadline_ns = 1;
+  Result<SelfJoinResult> want =
+      SimilaritySelfJoin(collection, alphabet, options);
+  Result<SelfJoinResult> got =
+      SimilaritySelfJoin(collection, alphabet, limited);
+  ASSERT_TRUE(want.ok() && got.ok());
+  ASSERT_GT(want->stats.verified_pairs, 0);  // the limits would bite
+
+  ASSERT_EQ(got->pairs.size(), want->pairs.size());
+  for (size_t i = 0; i < got->pairs.size(); ++i) {
+    EXPECT_EQ(got->pairs[i].lhs, want->pairs[i].lhs);
+    EXPECT_EQ(got->pairs[i].rhs, want->pairs[i].rhs);
+    EXPECT_EQ(got->pairs[i].probability, want->pairs[i].probability);
+    EXPECT_EQ(got->pairs[i].exact, want->pairs[i].exact);
+  }
+  EXPECT_EQ(got->stats.budget_fallbacks, 0);
+  EXPECT_EQ(got->stats.deadline_fallbacks, 0);
+  // Every counter, through the JSON dump with the wall-clock fields zeroed.
+  const auto counters = [](JoinStats stats) {
+    stats.qgram_time = stats.freq_time = stats.cdf_time = 0.0;
+    stats.verify_time = stats.index_build_time = stats.total_time = 0.0;
+    return stats.ToJson();
+  };
+  EXPECT_EQ(counters(got->stats), counters(want->stats));
+}
+
 TEST(SelfJoinTest, DuplicateStringsAreReported) {
   const Alphabet alphabet = Alphabet::Dna();
   Result<UncertainString> s = UncertainString::Parse(

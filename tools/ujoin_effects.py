@@ -609,8 +609,8 @@ CONTRACTS = [
             "SimilaritySearcher::SearchMany",
             "SimilaritySearcher::SearchImpl",
             "SimilaritySearcher::Explain",
-            # Worker fan-out joins its pool; bounded by the wave's work.
-            "ujoin::RunWaveTasks",
+            # Worker fan-out joins its pool; bounded by the wave or batch.
+            "internal::ParallelFor",
             # Workspace growth: allocates until warm, then reuses.
             "FlatProbeSets::Reset",
             "ujoin::BuildProbeSet",
