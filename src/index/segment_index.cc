@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <functional>
 
 #include "filter/event_dp.h"
 #include "obs/metrics.h"
@@ -17,33 +16,35 @@ namespace ujoin {
 
 namespace {
 
-using MergedEntry = QueryWorkspace::MergedEntry;
 using Cursor = QueryWorkspace::Cursor;
 
-// Binary-heap keys pack (id, list index) into one uint64 so the min-heap
-// pops equal ids in ascending list order — the same order in which the
-// linear min-scan folds their contributions, keeping the two merge
-// strategies bit-identical.
-constexpr uint64_t HeapKey(uint32_t id, uint32_t list) {
-  return (static_cast<uint64_t>(id) << 32) | list;
-}
-constexpr uint32_t HeapId(uint64_t key) {
-  return static_cast<uint32_t>(key >> 32);
-}
-constexpr uint32_t HeapList(uint64_t key) {
-  return static_cast<uint32_t>(key);
-}
-
-void HeapPush(std::vector<uint64_t>* heap, uint64_t key) {
-  heap->push_back(key);
-  std::push_heap(heap->begin(), heap->end(), std::greater<uint64_t>());
+// First posting in [pos, end) with id >= `id`: gallop from `pos`, then
+// binary-search the last gap, so a cursor advanced through ascending ids
+// pays O(log gap) per step.
+const Posting* SeekTo(const Posting* pos, const Posting* end, uint32_t id) {
+  const size_t n = static_cast<size_t>(end - pos);
+  if (n == 0 || pos->id >= id) return pos;
+  size_t lo = 0;  // pos[lo].id < id
+  size_t step = 1;
+  while (lo + step < n && pos[lo + step].id < id) {
+    lo += step;
+    step *= 2;
+  }
+  return std::lower_bound(
+      pos + lo + 1, pos + std::min(n, lo + step), id,
+      [](const Posting& p, uint32_t value) { return p.id < value; });
 }
 
-uint64_t HeapPop(std::vector<uint64_t>* heap) {
-  std::pop_heap(heap->begin(), heap->end(), std::greater<uint64_t>());
-  const uint64_t key = heap->back();
-  heap->pop_back();
-  return key;
+// Hands out the stamp for the next (query, segment).  When the counter
+// wraps, every mark's stamp is cleared first, so a stale mark can never
+// equal a new stamp.  Counts are reset separately, through the touched
+// list, so a wrap in the middle of a query loses nothing.
+uint32_t NextStamp(QueryWorkspace* ws) {
+  if (++ws->stamp == 0) {
+    for (QueryWorkspace::IdMark& mark : ws->marks) mark.stamp = 0;
+    ws->stamp = 1;
+  }
+  return ws->stamp;
 }
 
 }  // namespace
@@ -114,271 +115,177 @@ std::span<const IndexCandidate> LengthBucketIndex::QueryCandidates(
     return ws->candidates;
   }
 
-  // Stage 1 (per segment): merge the posting lists of the probe substrings
-  // into one id-sorted list carrying α_x = Σ_w p_r(w) · Pr(w = S^x).  The
-  // per-segment lists are laid out back to back in ws->merged.
+  // Lookups: per segment, a cursor over each id-sorted posting extent of
+  // each probe substring (frozen arena + delta list, weighted by the
+  // substring's occurrence probability), in probe order.
+  // Count pass: every posting and wildcard id < id_limit is visited once;
+  // the id's mark counts it at most once per segment (the stamp dedupes ids
+  // listed by several probe substrings of one segment).  Ids whose count
+  // reaches m − k become survivors — the only ids Lemma 5 can keep.
   // Per-kernel wall-time counters, accumulated locally and folded once at
   // the end (clock reads only happen with a recorder attached).
   const bool timed = UJOIN_OBS_ENABLED(ws->obs);
   int64_t fingerprint_ns = 0;
   int64_t merge_ns = 0;
   Timer kernel_timer;
-  ws->merged.clear();
-  ws->merged_begin.clear();
-  ws->merged_begin.push_back(0);
+  // Posting and wildcard ids never exceed ids_.back(), so the marks cover
+  // every id the count pass can visit.
+  const size_t id_end =
+      std::min<size_t>(id_limit, static_cast<size_t>(ids_.back()) + 1);
+  if (ws->marks.size() < id_end) ws->marks.resize(id_end, {0, 0});
+  QueryWorkspace::IdMark* const marks = ws->marks.data();
+  ws->touched.clear();
+  ws->survivors.clear();
+  ws->cursors.clear();
+  ws->cursor_begin.clear();
+  ws->cursor_begin.push_back(0);
   for (int x = 0; x < m; ++x) {
+    const uint32_t stamp = NextStamp(ws);
+    int64_t distinct = 0;
+    const auto count = [&](uint32_t id) {
+      UJOIN_DCHECK(id < id_end);
+      QueryWorkspace::IdMark& mark = marks[id];
+      if (mark.stamp == stamp) return;
+      mark.stamp = stamp;
+      ++distinct;
+      if (mark.count++ == 0) ws->touched.push_back(id);
+      if (mark.count == static_cast<uint32_t>(required)) {
+        ws->survivors.push_back(id);
+      }
+    };
     if (probes.is_wildcard(x)) {
       // Probe-set blow-up on the query side: α_x = 1 for every indexed id.
-      for (uint32_t id : ids_) {
-        if (id >= id_limit) break;
-        ws->merged.push_back(MergedEntry{id, 1.0});
-      }
-      ws->merged_begin.push_back(static_cast<uint32_t>(ws->merged.size()));
-      continue;
-    }
-    // Gather the extents to merge: up to two per probe substring (frozen
-    // arena + delta list, each id-sorted, weighted by the substring's
-    // occurrence probability) plus this segment's wildcard ids at α = 1.
-    //
-    // The probe keys of one segment share the segment's fixed length, so
-    // their fingerprints batch into one kernel call (simd::Fingerprint64Batch,
-    // interleaved FNV) and their hash slots prefetch ahead of the lookups.
-    // A test-injected fingerprint function (or a malformed probe length,
-    // which Find answers with "absent") falls back to the per-key path.
-    ws->cursors.clear();
-    const std::span<const FlatProbeSets::Entry> entries =
-        probes.segment_entries(x);
-    const FlatPostings& seg_lists = lists_[static_cast<size_t>(x)];
-    const uint32_t seg_key_len =
-        static_cast<uint32_t>(seg_lists.key_length());
-    bool batched = seg_lists.uses_default_fingerprint() && !entries.empty();
-    for (size_t i = 0; batched && i < entries.size(); ++i) {
-      batched = entries[i].length == seg_key_len;
-    }
-    if (batched) {
       if (timed) kernel_timer.Reset();
-      ws->probe_ptrs.clear();
-      for (const FlatProbeSets::Entry& probe : entries) {
-        ws->probe_ptrs.push_back(probes.text(probe).data());
+      for (uint32_t id : ids_) {
+        if (id >= id_limit) break;  // ids_ is sorted ascending
+        count(id);
       }
-      ws->probe_fps.resize(entries.size());
-      simd::Fingerprint64Batch(ws->probe_ptrs.data(), seg_key_len,
-                               entries.size(), ws->probe_fps.data());
-      for (const uint64_t fp : ws->probe_fps) seg_lists.PrefetchSlot(fp);
-      if (timed) fingerprint_ns += kernel_timer.ElapsedNanos();
-    }
-    for (size_t i = 0; i < entries.size(); ++i) {
-      const FlatProbeSets::Entry& probe = entries[i];
-      const FlatPostings::ListView list =
-          batched ? seg_lists.FindWithFingerprint(ws->probe_fps[i],
-                                                  probes.text(probe))
-                  : seg_lists.Find(probes.text(probe));
-      if (list.empty()) continue;
-      if (!list.base.empty()) {
-        simd::PrefetchRead(list.base.data());
-        ws->cursors.push_back(Cursor{list.base.data(),
-                                     list.base.data() + list.base.size(),
-                                     probe.prob});
-      }
-      if (!list.delta.empty()) {
-        simd::PrefetchRead(list.delta.data());
-        ws->cursors.push_back(Cursor{list.delta.data(),
-                                     list.delta.data() + list.delta.size(),
-                                     probe.prob});
-      }
-      if (stats != nullptr) ++stats->lists_scanned;
-    }
-    if (timed) kernel_timer.Reset();
-    const std::vector<uint32_t>& wildcards =
-        wildcard_ids_[static_cast<size_t>(x)];
-    size_t wildcard_pos = 0;
-    if (static_cast<int>(ws->cursors.size()) <= ws->heap_merge_threshold) {
-      // Parallel scan with "top pointers" (Section 4): repeatedly take the
-      // minimum id across list heads and fold its contributions into α_x.
-      for (;;) {
-        uint32_t min_id = UINT32_MAX;
-        for (const Cursor& c : ws->cursors) {
-          if (c.pos != c.end && c.pos->id < min_id) min_id = c.pos->id;
-        }
-        if (wildcard_pos < wildcards.size() &&
-            wildcards[wildcard_pos] < min_id) {
-          min_id = wildcards[wildcard_pos];
-        }
-        if (min_id == UINT32_MAX) break;
-        // Lists are id-sorted, so once every head is past the limit no
-        // in-range id remains; stop before touching out-of-range postings.
-        if (min_id >= id_limit) break;
-        double alpha = 0.0;
-        for (Cursor& c : ws->cursors) {
-          if (c.pos != c.end && c.pos->id == min_id) {
-            alpha += c.weight * c.pos->prob;
-            ++c.pos;
-            // Hint ~2 cache lines ahead in this posting extent (offset
-            // arithmetic over uintptr_t so a hint past the end is not UB).
-            simd::PrefetchReadOffset(c.pos, 8 * sizeof(Posting));
-            if (stats != nullptr) ++stats->postings_scanned;
-          }
-        }
-        if (wildcard_pos < wildcards.size() &&
-            wildcards[wildcard_pos] == min_id) {
-          alpha = 1.0;
-          ++wildcard_pos;
-        }
-        ws->merged.push_back(MergedEntry{min_id, ClampProb(alpha)});
-      }
+      if (timed) merge_ns += kernel_timer.ElapsedNanos();
     } else {
-      // Many lists: a binary-heap merge turns the O(#lists) min-scan per id
-      // into O(log #lists) per posting.  Ties pop in cursor order, so the
-      // α fold order — and hence every bit of the result — matches the
-      // linear scan above.
-      ws->heap.clear();
-      for (uint32_t ci = 0; ci < ws->cursors.size(); ++ci) {
-        HeapPush(&ws->heap, HeapKey(ws->cursors[ci].pos->id, ci));
+      // The probe keys of one segment share the segment's fixed length, so
+      // their fingerprints batch into one kernel call
+      // (simd::Fingerprint64Batch, interleaved FNV) and their hash slots
+      // prefetch ahead of the lookups.  A test-injected fingerprint function
+      // (or a malformed probe length, which Find answers with "absent")
+      // falls back to the per-key path.
+      const std::span<const FlatProbeSets::Entry> entries =
+          probes.segment_entries(x);
+      const FlatPostings& seg_lists = lists_[static_cast<size_t>(x)];
+      const uint32_t seg_key_len =
+          static_cast<uint32_t>(seg_lists.key_length());
+      bool batched = seg_lists.uses_default_fingerprint() && !entries.empty();
+      for (size_t i = 0; batched && i < entries.size(); ++i) {
+        batched = entries[i].length == seg_key_len;
       }
-      for (;;) {
-        uint32_t min_id =
-            ws->heap.empty() ? UINT32_MAX : HeapId(ws->heap.front());
-        if (wildcard_pos < wildcards.size() &&
-            wildcards[wildcard_pos] < min_id) {
-          min_id = wildcards[wildcard_pos];
+      if (batched) {
+        if (timed) kernel_timer.Reset();
+        ws->probe_ptrs.clear();
+        for (const FlatProbeSets::Entry& probe : entries) {
+          ws->probe_ptrs.push_back(probes.text(probe).data());
         }
-        if (min_id == UINT32_MAX) break;
-        if (min_id >= id_limit) break;
-        double alpha = 0.0;
-        while (!ws->heap.empty() && HeapId(ws->heap.front()) == min_id) {
-          const uint32_t ci = HeapList(HeapPop(&ws->heap));
-          Cursor& c = ws->cursors[ci];
-          alpha += c.weight * c.pos->prob;
-          ++c.pos;
-          simd::PrefetchReadOffset(c.pos, 8 * sizeof(Posting));
-          if (stats != nullptr) ++stats->postings_scanned;
-          if (c.pos != c.end) HeapPush(&ws->heap, HeapKey(c.pos->id, ci));
-        }
-        if (wildcard_pos < wildcards.size() &&
-            wildcards[wildcard_pos] == min_id) {
-          alpha = 1.0;
-          ++wildcard_pos;
-        }
-        ws->merged.push_back(MergedEntry{min_id, ClampProb(alpha)});
+        ws->probe_fps.resize(entries.size());
+        simd::Fingerprint64Batch(ws->probe_ptrs.data(), seg_key_len,
+                                 entries.size(), ws->probe_fps.data());
+        for (const uint64_t fp : ws->probe_fps) seg_lists.PrefetchSlot(fp);
+        if (timed) fingerprint_ns += kernel_timer.ElapsedNanos();
       }
+      const size_t first_cursor = ws->cursors.size();
+      for (size_t i = 0; i < entries.size(); ++i) {
+        const FlatProbeSets::Entry& probe = entries[i];
+        const FlatPostings::ListView list =
+            batched ? seg_lists.FindWithFingerprint(ws->probe_fps[i],
+                                                    probes.text(probe))
+                    : seg_lists.Find(probes.text(probe));
+        if (list.empty()) continue;
+        for (const std::span<const Posting> extent : {list.base, list.delta}) {
+          if (extent.empty()) continue;
+          simd::PrefetchRead(extent.data());
+          ws->cursors.push_back(Cursor{extent.data(),
+                                       extent.data() + extent.size(),
+                                       probe.prob});
+        }
+        if (stats != nullptr) ++stats->lists_scanned;
+      }
+      if (timed) kernel_timer.Reset();
+      int64_t postings = 0;
+      for (size_t ci = first_cursor; ci < ws->cursors.size(); ++ci) {
+        const Cursor& c = ws->cursors[ci];
+        // Extents are id-sorted: stop at the first out-of-range id.
+        const Posting* p = c.pos;
+        for (; p != c.end && p->id < id_limit; ++p) count(p->id);
+        postings += p - c.pos;
+      }
+      for (uint32_t id : wildcard_ids_[static_cast<size_t>(x)]) {
+        if (id >= id_limit) break;
+        count(id);
+      }
+      if (timed) merge_ns += kernel_timer.ElapsedNanos();
+      if (stats != nullptr) stats->postings_scanned += postings;
     }
-    if (timed) merge_ns += kernel_timer.ElapsedNanos();
-    ws->merged_begin.push_back(static_cast<uint32_t>(ws->merged.size()));
-  }
-
-  if (UJOIN_OBS_ENABLED(ws->obs)) {
-    for (int x = 0; x < m; ++x) {
-      const int64_t list_length =
-          static_cast<int64_t>(ws->merged_begin[static_cast<size_t>(x) + 1]) -
-          static_cast<int64_t>(ws->merged_begin[static_cast<size_t>(x)]);
-      UJOIN_OBS_HIST(ws->obs, obs::Hist::kMergedListLength, list_length);
-    }
-  }
-  if (ws->explain_merged != nullptr) {
+    ws->cursor_begin.push_back(static_cast<uint32_t>(ws->cursors.size()));
+    UJOIN_OBS_HIST(ws->obs, obs::Hist::kMergedListLength, distinct);
     // Explain sink, deliberately outside the obs gate: the replay narrative
     // needs per-segment merged lengths even under -DUJOIN_OBS=OFF.
-    for (int x = 0; x < m; ++x) {
-      ws->explain_merged->push_back(
-          static_cast<int64_t>(ws->merged_begin[static_cast<size_t>(x) + 1]) -
-          static_cast<int64_t>(ws->merged_begin[static_cast<size_t>(x)]));
-    }
+    if (ws->explain_merged != nullptr) ws->explain_merged->push_back(distinct);
   }
+  for (uint32_t id : ws->touched) marks[id].count = 0;
 
-  // Stage 2: scan the m merged lists in parallel, counting matched segments
-  // per id (Lemma 5) and bounding Pr(ed <= k) with the event DP (Theorem 2).
-  const auto merged_list = [&](int x) {
-    return std::span<const MergedEntry>(
-        ws->merged.data() + ws->merged_begin[static_cast<size_t>(x)],
-        ws->merged.data() + ws->merged_begin[static_cast<size_t>(x) + 1]);
-  };
+  // Exact α, in ascending id order: each segment's cursors seek to the id
+  // and fold its contributions in cursor order (an index-side wildcard
+  // overrides the sum with α = 1), then Lemma 5 counts the segments with
+  // α_x > 0 and the event DP bounds Pr(ed <= k) (Theorem 2).
   if (timed) kernel_timer.Reset();
-  ws->tops.assign(static_cast<size_t>(m), 0);
-  ws->alphas.assign(static_cast<size_t>(m), 0.0);
+  std::sort(ws->survivors.begin(), ws->survivors.end());
+  ws->alphas.resize(static_cast<size_t>(m));
   const std::span<const double> alphas_span(ws->alphas.data(),
                                             static_cast<size_t>(m));
-  if (m <= ws->heap_merge_threshold) {
-    for (;;) {
-      uint32_t min_id = UINT32_MAX;
-      for (int x = 0; x < m; ++x) {
-        const auto list = merged_list(x);
-        if (ws->tops[static_cast<size_t>(x)] < list.size()) {
-          min_id = std::min(min_id, list[ws->tops[static_cast<size_t>(x)]].id);
-        }
-      }
-      if (min_id == UINT32_MAX) break;
-      int matched = 0;
-      for (int x = 0; x < m; ++x) {
-        const auto list = merged_list(x);
-        size_t& top = ws->tops[static_cast<size_t>(x)];
-        if (top < list.size() && list[top].id == min_id) {
-          ws->alphas[static_cast<size_t>(x)] = list[top].alpha;
-          if (list[top].alpha > 0.0) ++matched;
-          ++top;
-        } else {
-          ws->alphas[static_cast<size_t>(x)] = 0.0;
-        }
-      }
-      if (stats != nullptr) ++stats->ids_touched;
-      if (matched < required) {
-        if (stats != nullptr) ++stats->support_pruned;
-        continue;
-      }
-      const double bound =
-          ProbAtLeastEvents(alphas_span, required, &ws->dp_scratch);
-      if (bound <= tau) {
-        if (stats != nullptr) ++stats->probability_pruned;
-        continue;
-      }
-      ws->candidates.push_back(IndexCandidate{min_id, matched, bound});
-      UJOIN_OBS_HIST(ws->obs, obs::Hist::kCandidateAlphaPpm,
-                     std::llround(bound * 1e6));
-      if (stats != nullptr) ++stats->candidates;
-    }
-  } else {
-    // Heap variant of the same scan.  α entries not owned by the current id
-    // stay 0 (reset via `touched` after each round), so the event DP sees
-    // exactly the α vector the linear scan would have built.
-    ws->heap.clear();
+  int64_t survivors_pruned = 0;
+  for (const uint32_t id : ws->survivors) {
+    int matched = 0;
     for (int x = 0; x < m; ++x) {
-      const auto list = merged_list(x);
-      if (!list.empty()) {
-        HeapPush(&ws->heap, HeapKey(list.front().id, static_cast<uint32_t>(x)));
-      }
-    }
-    while (!ws->heap.empty()) {
-      const uint32_t min_id = HeapId(ws->heap.front());
-      int matched = 0;
-      ws->touched.clear();
-      while (!ws->heap.empty() && HeapId(ws->heap.front()) == min_id) {
-        const int x = static_cast<int>(HeapList(HeapPop(&ws->heap)));
-        const auto list = merged_list(x);
-        size_t& top = ws->tops[static_cast<size_t>(x)];
-        ws->alphas[static_cast<size_t>(x)] = list[top].alpha;
-        ws->touched.push_back(x);
-        if (list[top].alpha > 0.0) ++matched;
-        ++top;
-        if (top < list.size()) {
-          HeapPush(&ws->heap,
-                   HeapKey(list[top].id, static_cast<uint32_t>(x)));
+      double alpha = 1.0;
+      if (!probes.is_wildcard(x)) {
+        alpha = 0.0;
+        for (uint32_t ci = ws->cursor_begin[static_cast<size_t>(x)];
+             ci < ws->cursor_begin[static_cast<size_t>(x) + 1]; ++ci) {
+          Cursor& c = ws->cursors[ci];
+          c.pos = SeekTo(c.pos, c.end, id);
+          if (c.pos != c.end && c.pos->id == id) {
+            alpha += c.weight * c.pos->prob;
+          }
         }
-      }
-      if (stats != nullptr) ++stats->ids_touched;
-      if (matched >= required) {
-        const double bound =
-            ProbAtLeastEvents(alphas_span, required, &ws->dp_scratch);
-        if (bound > tau) {
-          ws->candidates.push_back(IndexCandidate{min_id, matched, bound});
-          UJOIN_OBS_HIST(ws->obs, obs::Hist::kCandidateAlphaPpm,
-                         std::llround(bound * 1e6));
-          if (stats != nullptr) ++stats->candidates;
-        } else if (stats != nullptr) {
-          ++stats->probability_pruned;
+        const std::vector<uint32_t>& wildcards =
+            wildcard_ids_[static_cast<size_t>(x)];
+        if (!wildcards.empty() &&
+            std::binary_search(wildcards.begin(), wildcards.end(), id)) {
+          alpha = 1.0;
         }
-      } else if (stats != nullptr) {
-        ++stats->support_pruned;
+        alpha = ClampProb(alpha);
       }
-      for (int x : ws->touched) ws->alphas[static_cast<size_t>(x)] = 0.0;
+      ws->alphas[static_cast<size_t>(x)] = alpha;
+      if (alpha > 0.0) ++matched;
     }
+    if (matched < required) {
+      ++survivors_pruned;
+      continue;
+    }
+    const double bound =
+        ProbAtLeastEvents(alphas_span, required, &ws->dp_scratch);
+    if (bound <= tau) {
+      if (stats != nullptr) ++stats->probability_pruned;
+      continue;
+    }
+    ws->candidates.push_back(IndexCandidate{id, matched, bound});
+    UJOIN_OBS_HIST(ws->obs, obs::Hist::kCandidateAlphaPpm,
+                   std::llround(bound * 1e6));
+    if (stats != nullptr) ++stats->candidates;
+  }
+  if (stats != nullptr) {
+    const auto touched = static_cast<int64_t>(ws->touched.size());
+    stats->ids_touched += touched;
+    stats->support_pruned +=
+        touched - static_cast<int64_t>(ws->survivors.size()) +
+        survivors_pruned;
   }
   if (timed) {
     UJOIN_OBS_COUNTER(ws->obs, obs::Counter::kKernelEventDpNs,
@@ -461,10 +368,19 @@ Result<LengthBucketIndex> LengthBucketIndex::Deserialize(BinaryReader* reader,
   LengthBucketIndex bucket(*length, k, q);
   Result<uint64_t> num_ids = reader->ReadU64();
   if (!num_ids.ok()) return num_ids.status();
+  // Queries index per-id scratch by posting id, so every id list must be
+  // strictly increasing and name no id past the bucket's largest.
+  const Status bad_id =
+      Status::InvalidArgument("corrupt index: ids out of order or range");
+  const auto follows = [&](const uint32_t* prev, uint32_t id) {
+    return (prev == nullptr || *prev < id) && !bucket.ids_.empty() &&
+           id <= bucket.ids_.back();
+  };
   bucket.ids_.reserve(*num_ids);
   for (uint64_t i = 0; i < *num_ids; ++i) {
     Result<uint32_t> id = reader->ReadU32();
     if (!id.ok()) return id.status();
+    if (!bucket.ids_.empty() && bucket.ids_.back() >= *id) return bad_id;
     bucket.ids_.push_back(*id);
   }
   Result<uint64_t> num_segments = reader->ReadU64();
@@ -486,13 +402,19 @@ Result<LengthBucketIndex> LengthBucketIndex::Deserialize(BinaryReader* reader,
         return Status::InvalidArgument(
             "corrupt index: key length does not match segment length");
       }
+      if (!bucket.lists_[x].Find(*key).empty()) {
+        return Status::InvalidArgument("corrupt index: duplicate key");
+      }
       Result<uint64_t> num_postings = reader->ReadU64();
       if (!num_postings.ok()) return num_postings.status();
+      uint32_t prev = 0;
       for (uint64_t p = 0; p < *num_postings; ++p) {
         Result<uint32_t> id = reader->ReadU32();
         if (!id.ok()) return id.status();
         Result<double> prob = reader->ReadDouble();
         if (!prob.ok()) return prob.status();
+        if (!follows(p == 0 ? nullptr : &prev, *id)) return bad_id;
+        prev = *id;
         bucket.lists_[x].Add(*key, Posting{*id, *prob});
       }
     }
@@ -501,6 +423,10 @@ Result<LengthBucketIndex> LengthBucketIndex::Deserialize(BinaryReader* reader,
     for (uint64_t w = 0; w < *num_wildcards; ++w) {
       Result<uint32_t> id = reader->ReadU32();
       if (!id.ok()) return id.status();
+      const std::vector<uint32_t>& wildcards = bucket.wildcard_ids_[x];
+      if (!follows(wildcards.empty() ? nullptr : &wildcards.back(), *id)) {
+        return bad_id;
+      }
       bucket.wildcard_ids_[x].push_back(*id);
     }
   }

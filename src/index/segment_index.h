@@ -1,6 +1,7 @@
 #ifndef UJOIN_INDEX_SEGMENT_INDEX_H_
 #define UJOIN_INDEX_SEGMENT_INDEX_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <map>
 #include <span>
@@ -52,31 +53,29 @@ struct IndexQueryStats {
 
 /// \brief Reusable per-thread scratch for the index query path.
 ///
-/// Every buffer the merge scan needs — probe sets, merge cursors, heap,
-/// merged lists, top pointers, α values, the event-DP row, and the output
-/// candidates — lives here and grows to a steady state, after which
-/// repeated queries through the same workspace perform no heap allocation.
-/// Ownership rule: one workspace per worker thread, created by the driver
-/// (self-join, cross join, SearchMany) next to that thread's other private
-/// state; a workspace must never be shared by concurrent queries.  Results
-/// are independent of the workspace's history: querying through a reused
+/// Every buffer the count pass needs — probe sets, posting cursors, the
+/// id-indexed stamp/count marks, the touched and survivor id lists, α
+/// values, the event-DP row, and the output candidates — lives here and
+/// grows to a steady state, after which repeated queries through the same
+/// workspace perform no heap allocation.  The marks hold 8 bytes per
+/// indexed id (up to the largest id probed).  Ownership rule: one
+/// workspace per worker thread, created by the driver (self-join, cross
+/// join, SearchMany) next to that thread's other private state; a
+/// workspace must never be shared by concurrent queries.  Results are
+/// independent of the workspace's history: querying through a reused
 /// workspace is bit-identical to querying through a fresh one.
 struct QueryWorkspace {
-  /// Merges with more than this many input lists use a binary-heap merge
-  /// instead of the linear min-scan; results are identical either way (the
-  /// heap pops ties in list order, matching the linear fold order).
-  int heap_merge_threshold = 8;
-
-  /// A merged per-segment list entry: string id and its α_x.
-  struct MergedEntry {
-    uint32_t id;
-    double alpha;
-  };
   /// A scan head into one id-sorted posting extent.
   struct Cursor {
     const Posting* pos;
     const Posting* end;
     double weight;
+  };
+  /// Count-pass state of one id: the (query, segment) stamp that last
+  /// counted it, and how many segments counted it in the current query.
+  struct IdMark {
+    uint32_t stamp;
+    uint32_t count;
   };
 
   // Buffers below are owned by the query path; callers should treat them as
@@ -86,13 +85,13 @@ struct QueryWorkspace {
   ProbeSetScratch probe_scratch;
   std::vector<const char*> probe_ptrs;   // batched-fingerprint key pointers
   std::vector<uint64_t> probe_fps;       // batched fingerprints, per segment
-  std::vector<Cursor> cursors;
-  std::vector<uint64_t> heap;            // (id << 32 | list) min-heap keys
-  std::vector<MergedEntry> merged;       // all segments' merged lists, flat
-  std::vector<uint32_t> merged_begin;    // m + 1 offsets into `merged`
-  std::vector<size_t> tops;
+  std::vector<Cursor> cursors;           // all segments' extents, flat
+  std::vector<uint32_t> cursor_begin;    // m + 1 offsets into `cursors`
+  std::vector<IdMark> marks;             // indexed by id; grow-only
+  uint32_t stamp = 0;                    // last stamp handed out (0 = none)
+  std::vector<uint32_t> touched;         // ids counted this query
+  std::vector<uint32_t> survivors;       // ids counted in >= m - k segments
   std::vector<double> alphas;
-  std::vector<int> touched;              // alphas set this round (heap path)
   std::vector<double> dp_scratch;        // event-DP row
   std::vector<IndexCandidate> candidates;
   std::vector<uint32_t> candidate_ids;
@@ -106,7 +105,8 @@ struct QueryWorkspace {
   obs::Recorder* obs = nullptr;
 
   /// Explain sink: when non-null, QueryCandidates appends each segment's
-  /// merged-list length (m values per probed bucket).  Independent of `obs`
+  /// merged-list length — the number of distinct ids < id_limit the
+  /// segment matches (m values per probed bucket).  Independent of `obs`
   /// so `ujoin_cli explain` works under -DUJOIN_OBS=OFF.  Only the explain
   /// replay sets this — it allocates, so the serve path leaves it null.
   std::vector<int64_t>* explain_merged = nullptr;
@@ -137,6 +137,10 @@ class LengthBucketIndex {
   int num_segments() const { return static_cast<int>(segments_.size()); }
   const std::vector<Segment>& segments() const { return segments_; }
   const std::vector<uint32_t>& ids() const { return ids_; }
+  /// Ids whose segment `x` is a wildcard (matched with α = 1), ascending.
+  const std::vector<uint32_t>& wildcard_ids(int x) const {
+    return wildcard_ids_[static_cast<size_t>(x)];
+  }
 
   /// Posting list for instance `w` of segment `x`; empty when absent.
   /// Allocation-free; the view stays valid until the next Insert/Freeze.
@@ -149,13 +153,13 @@ class LengthBucketIndex {
   /// read-mostly users (the searcher) freeze once after the build.
   void Freeze();
 
-  /// Runs the paper's two-level merge scan: for every segment x the lists
-  /// L^x_l(w), w ∈ probes' segment x, are merged by id into (id, α_x)
-  /// pairs; the per-segment merged lists are then scanned in parallel to
-  /// count matched segments (Lemma 5) and evaluate Theorem 2's bound.
-  /// Pairs with bound <= tau are pruned.  A wildcard segment of `probes`
-  /// (probe set that could not be built due to instance blow-up) counts as
-  /// matched with α = 1 for every id.
+  /// Generates candidates with Lemma 5 and Theorem 2.  A count pass visits
+  /// every posting of the lists L^x_l(w), w ∈ probes' segment x, once and
+  /// counts, per id, the segments that list it; only ids listed by at
+  /// least m − k segments get their α_x = Σ_w p_r(w) · Pr(w = S^x) summed
+  /// and Theorem 2's bound evaluated.  Pairs with bound <= tau are pruned.
+  /// A wildcard segment of `probes` (probe set that could not be built due
+  /// to instance blow-up) counts as matched with α = 1 for every id.
   ///
   /// Only indexed ids < `id_limit` are considered; higher ids are skipped
   /// before any counter is touched, so results and stats are exactly those
@@ -263,6 +267,17 @@ class InvertedSegmentIndex {
       total += bucket.num_segments();
     }
     return total;
+  }
+
+  /// One past the largest indexed id; 0 for an empty index.
+  uint64_t id_end() const {
+    uint64_t end = 0;
+    for (const auto& [length, bucket] : buckets_) {
+      if (!bucket.ids().empty()) {
+        end = std::max<uint64_t>(end, uint64_t{bucket.ids().back()} + 1);
+      }
+    }
+    return end;
   }
 
   /// Total footprint of all buckets, in bytes.

@@ -428,6 +428,10 @@ Result<SimilaritySearcher> SimilaritySearcher::Load(const std::string& path,
       return Status::InvalidArgument(
           "corrupt searcher: index parameters disagree with options");
     }
+    if (index->id_end() > *count) {
+      return Status::InvalidArgument(
+          "corrupt searcher: indexed id past the end of the collection");
+    }
     searcher.index_ = std::move(index).value();
     searcher.index_.Freeze();
   }

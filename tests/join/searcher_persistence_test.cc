@@ -1,6 +1,10 @@
 #include <algorithm>
+#include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -26,6 +30,70 @@ std::vector<UncertainString> SmallDataset(int size, uint64_t seed) {
 
 std::string TempPath(const char* name) {
   return ::testing::TempDir() + "/" + name;
+}
+
+std::string ReadAll(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string((std::istreambuf_iterator<char>(in)),
+                     std::istreambuf_iterator<char>());
+}
+
+void WriteAll(const std::string& path, const std::string& bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+void PatchU32(std::string* bytes, size_t offset, uint32_t value) {
+  std::memcpy(bytes->data() + offset, &value, sizeof(value));
+}
+
+uint32_t U32At(const std::string& bytes, size_t offset) {
+  uint32_t value;
+  std::memcpy(&value, bytes.data() + offset, sizeof(value));
+  return value;
+}
+
+/// Byte offsets into a saved index section (the layout of
+/// InvertedSegmentIndex::Serialize): each bucket's id list and each posting
+/// list, as (offset of the first id, number of ids).
+struct IndexLayout {
+  struct IdList {
+    size_t offset;
+    uint64_t count;
+  };
+  std::vector<IdList> bucket_ids;
+  std::vector<IdList> posting_lists;  // postings are 12 bytes: id + prob
+};
+
+IndexLayout WalkIndex(const std::string& bytes, size_t at) {
+  const auto u64 = [&] {
+    uint64_t value;
+    std::memcpy(&value, bytes.data() + at, sizeof(value));
+    at += sizeof(value);
+    return value;
+  };
+  IndexLayout layout;
+  at += 2 * sizeof(int32_t);  // k, q
+  const uint64_t buckets = u64();
+  for (uint64_t b = 0; b < buckets; ++b) {
+    at += sizeof(int32_t);  // length
+    const uint64_t ids = u64();
+    layout.bucket_ids.push_back({at, ids});
+    at += ids * sizeof(uint32_t);
+    const uint64_t segments = u64();
+    for (uint64_t x = 0; x < segments; ++x) {
+      const uint64_t keys = u64();
+      for (uint64_t key = 0; key < keys; ++key) {
+        at += u64();  // key bytes
+        const uint64_t postings = u64();
+        layout.posting_lists.push_back({at, postings});
+        at += postings * (sizeof(uint32_t) + sizeof(double));
+      }
+      at += u64() * sizeof(uint32_t);  // wildcard ids
+    }
+  }
+  EXPECT_EQ(at, bytes.size()) << "index walk out of step with the format";
+  return layout;
 }
 
 TEST(IndexSerializationTest, RoundTripPreservesQueries) {
@@ -206,6 +274,65 @@ TEST(SearcherPersistenceTest, RejectsGarbageAndTruncation) {
   Result<SimilaritySearcher> truncated =
       SimilaritySearcher::Load(path, alphabet);
   EXPECT_FALSE(truncated.ok());
+  std::remove(path.c_str());
+}
+
+// Queries index per-id scratch by posting id, so Load must reject an index
+// whose ids are out of order or out of range instead of trusting them.
+TEST(SearcherPersistenceTest, RejectsCorruptIndexIds) {
+  const Alphabet alphabet = Alphabet::Names();
+  const std::vector<UncertainString> collection = SmallDataset(60, 309);
+  JoinOptions options = JoinOptions::Qfct(2, 0.1);
+  const std::string path = TempPath("ujoin_searcher_ids.bin");
+  // The same searcher without a q-gram index ends where the index begins.
+  options.use_qgram_filter = false;
+  Result<SimilaritySearcher> no_index =
+      SimilaritySearcher::Create(collection, alphabet, options);
+  ASSERT_TRUE(no_index.ok());
+  ASSERT_TRUE(no_index->Save(path).ok());
+  const size_t index_start = ReadAll(path).size();
+  options.use_qgram_filter = true;
+  Result<SimilaritySearcher> original =
+      SimilaritySearcher::Create(collection, alphabet, options);
+  ASSERT_TRUE(original.ok());
+  ASSERT_TRUE(original->Save(path).ok());
+  const std::string saved = ReadAll(path);
+  ASSERT_TRUE(SimilaritySearcher::Load(path, alphabet).ok());
+  const IndexLayout layout = WalkIndex(saved, index_start);
+  ASSERT_FALSE(layout.posting_lists.empty());
+
+  const auto expect_rejected = [&](const std::string& bytes,
+                                   const char* what) {
+    WriteAll(path, bytes);
+    Result<SimilaritySearcher> loaded =
+        SimilaritySearcher::Load(path, alphabet);
+    ASSERT_FALSE(loaded.ok()) << what;
+    EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument) << what;
+  };
+
+  // A bit-flipped posting id far past every indexed id.
+  std::string huge_id = saved;
+  PatchU32(&huge_id, layout.posting_lists.front().offset, 0xFFFFFFF0u);
+  expect_rejected(huge_id, "posting id 0xFFFFFFF0");
+
+  // A posting list whose first two ids are swapped.
+  const auto pair = std::find_if(
+      layout.posting_lists.begin(), layout.posting_lists.end(),
+      [](const IndexLayout::IdList& list) { return list.count >= 2; });
+  ASSERT_NE(pair, layout.posting_lists.end());
+  std::string swapped = saved;
+  const size_t second = pair->offset + sizeof(uint32_t) + sizeof(double);
+  PatchU32(&swapped, pair->offset, U32At(saved, second));
+  PatchU32(&swapped, second, U32At(saved, pair->offset));
+  expect_rejected(swapped, "posting list out of order");
+
+  // A bucket whose largest id (still in order) is past the collection.
+  const IndexLayout::IdList& ids = layout.bucket_ids.front();
+  ASSERT_GT(ids.count, 0u);
+  std::string past_end = saved;
+  PatchU32(&past_end, ids.offset + (ids.count - 1) * sizeof(uint32_t),
+           static_cast<uint32_t>(collection.size()) + 5);
+  expect_rejected(past_end, "indexed id past the collection");
   std::remove(path.c_str());
 }
 
