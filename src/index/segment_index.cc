@@ -366,7 +366,7 @@ Result<LengthBucketIndex> LengthBucketIndex::Deserialize(BinaryReader* reader,
                                    std::to_string(*length));
   }
   LengthBucketIndex bucket(*length, k, q);
-  Result<uint64_t> num_ids = reader->ReadU64();
+  Result<uint64_t> num_ids = reader->ReadCount(sizeof(uint32_t));
   if (!num_ids.ok()) return num_ids.status();
   // Queries index per-id scratch by posting id, so every id list must be
   // strictly increasing and name no id past the bucket's largest.
@@ -414,6 +414,10 @@ Result<LengthBucketIndex> LengthBucketIndex::Deserialize(BinaryReader* reader,
         Result<double> prob = reader->ReadDouble();
         if (!prob.ok()) return prob.status();
         if (!follows(p == 0 ? nullptr : &prev, *id)) return bad_id;
+        if (!(*prob >= 0.0 && *prob <= 1.0)) {  // NaN fails too
+          return Status::InvalidArgument(
+              "corrupt index: posting probability outside [0, 1]");
+        }
         prev = *id;
         bucket.lists_[x].Add(*key, Posting{*id, *prob});
       }

@@ -404,7 +404,8 @@ Result<SimilaritySearcher> SimilaritySearcher::Load(const std::string& path,
   }
   options.verify_method = static_cast<VerifyMethod>(*method);
 
-  Result<uint64_t> count = reader.ReadU64();
+  // Every persisted string takes at least its 4-byte length.
+  Result<uint64_t> count = reader.ReadCount(sizeof(int32_t));
   if (!count.ok()) return count.status();
   std::vector<UncertainString> collection;
   collection.reserve(*count);

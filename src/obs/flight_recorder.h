@@ -36,7 +36,7 @@ namespace obs {
 //
 // The dump is the versioned "ujoin.flight_record" JSON document (see
 // DESIGN.md "Flight recorder and watchdog" and
-// tools/validate_flight_record.py): per-thread recent events, the event
+// tools/validate_artifact.py): per-thread recent events, the event
 // registry snapshot (per-kind totals + drop count), build info, and the
 // active SIMD instruction set.
 //

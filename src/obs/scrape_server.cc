@@ -1,31 +1,14 @@
 #include "obs/scrape_server.h"
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include <cerrno>
 #include <cstring>
-#include <system_error>
 
 namespace ujoin {
 namespace obs {
 
 namespace {
-
-/// Sends all of `data`, tolerating short writes.  MSG_NOSIGNAL turns a peer
-/// that hung up into an error return instead of SIGPIPE.
-void SendAll(int fd, const std::string& data) {
-  size_t sent = 0;
-  while (sent < data.size()) {
-    const ssize_t n = send(fd, data.data() + sent, data.size() - sent,
-                           MSG_NOSIGNAL);
-    if (n <= 0) return;
-    sent += static_cast<size_t>(n);
-  }
-}
 
 std::string HttpResponse(const char* status_line, const char* content_type,
                          const std::string& body) {
@@ -45,39 +28,14 @@ std::string HttpResponse(const char* status_line, const char* content_type,
 }  // namespace
 
 Status ScrapeServer::Start(int port) {
-  listen_fd_ = socket(AF_INET, SOCK_STREAM, 0);
-  if (listen_fd_ < 0) return Status::IoError("socket() failed");
-  const int one = 1;
-  setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(static_cast<uint16_t>(port));
-  if (bind(listen_fd_, reinterpret_cast<const sockaddr*>(&addr),
-           sizeof(addr)) != 0) {
-    close(listen_fd_);
-    listen_fd_ = -1;
-    // std::strerror may return a static buffer; workers share this process.
-    return Status::IoError("bind(127.0.0.1:" + std::to_string(port) +
-                           ") failed: " +
-                           std::system_category().message(errno));
-  }
-  if (listen(listen_fd_, 8) != 0) {
-    close(listen_fd_);
-    listen_fd_ = -1;
-    return Status::IoError("listen() failed");
-  }
-  sockaddr_in bound{};
-  socklen_t len = sizeof(bound);
-  if (getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&bound), &len) ==
-      0) {
-    port_ = static_cast<int>(ntohs(bound.sin_port));
-  } else {
-    port_ = port;
-  }
+  UJOIN_RETURN_IF_ERROR(listener_.Listen(port, /*backlog=*/8));
   stop_.store(false, std::memory_order_relaxed);
-  thread_ = std::thread(&ScrapeServer::Serve, this);
+  thread_ = std::thread([this] {
+    listener_.AcceptUntil(stop_, [this](int fd) {
+      HandleConnection(fd);
+      close(fd);
+    });
+  });
   return Status::OK();
 }
 
@@ -85,10 +43,7 @@ void ScrapeServer::Stop() {
   if (!thread_.joinable()) return;
   stop_.store(true, std::memory_order_relaxed);
   thread_.join();
-  if (listen_fd_ >= 0) {
-    close(listen_fd_);
-    listen_fd_ = -1;
-  }
+  listener_.Close();
 }
 
 void ScrapeServer::UpdateMetrics(std::string text) {
@@ -111,23 +66,6 @@ void ScrapeServer::UpdateStallsPage(std::string json) {
 void ScrapeServer::SetHealthBody(std::string body) {
   std::lock_guard<std::mutex> lock(mu_);
   health_body_ = std::move(body);
-}
-
-void ScrapeServer::Serve() {
-  // Poll-with-timeout instead of a bare blocking accept: the 100 ms tick is
-  // how Stop() gets the thread's attention without racing a close() against
-  // an accept() in flight.
-  while (!stop_.load(std::memory_order_relaxed)) {
-    pollfd pfd{};
-    pfd.fd = listen_fd_;
-    pfd.events = POLLIN;
-    const int ready = poll(&pfd, 1, /*timeout_ms=*/100);
-    if (ready <= 0) continue;
-    const int fd = accept(listen_fd_, nullptr, nullptr);
-    if (fd < 0) continue;
-    HandleConnection(fd);
-    close(fd);
-  }
 }
 
 void ScrapeServer::HandleConnection(int fd) {
@@ -162,52 +100,31 @@ void ScrapeServer::HandleConnection(int fd) {
     }
   }
 
-  std::string response;
-  if (path == "/metrics") {
-    std::string body;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
+  // Copy the page under the lock (held only for the copy), render outside.
+  std::string body;
+  const char* type = "application/json";
+  bool found = true;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (path == "/metrics") {
       body = metrics_text_;
-    }
-    response = HttpResponse("200 OK", "text/plain; version=0.0.4", body);
-  } else if (path == "/healthz") {
-    std::string body;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
+      type = "text/plain; version=0.0.4";
+    } else if (path == "/healthz") {
       body = health_body_;
-    }
-    const char* type =
-        !body.empty() && body[0] == '{' ? "application/json" : "text/plain";
-    response = HttpResponse("200 OK", type, body);
-  } else if (path == "/debug/slow") {
-    std::string body;
-    bool have = false;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
+      if (body.empty() || body[0] != '{') type = "text/plain";
+    } else if (path == "/debug/slow") {
       body = debug_text_;
-      have = debug_set_;
-    }
-    if (have) {
-      response = HttpResponse("200 OK", "application/json", body);
-    } else {
-      response = HttpResponse("404 Not Found", "text/plain", "not found\n");
-    }
-  } else if (path == "/debug/stalls") {
-    std::string body;
-    bool have = false;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
+      found = debug_set_;
+    } else if (path == "/debug/stalls") {
       body = stalls_text_;
-      have = stalls_set_;
-    }
-    if (have) {
-      response = HttpResponse("200 OK", "application/json", body);
+      found = stalls_set_;
     } else {
-      response = HttpResponse("404 Not Found", "text/plain", "not found\n");
+      found = false;
     }
-  } else {
-    response = HttpResponse("404 Not Found", "text/plain", "not found\n");
   }
+  const std::string response =
+      found ? HttpResponse("200 OK", type, body)
+            : HttpResponse("404 Not Found", "text/plain", "not found\n");
   SendAll(fd, response);
   requests_served_.fetch_add(1, std::memory_order_relaxed);
 }

@@ -6,6 +6,7 @@
 #include <string>
 #include <thread>
 
+#include "util/loopback_listener.h"
 #include "util/status.h"
 
 namespace ujoin {
@@ -54,7 +55,7 @@ class ScrapeServer {
   void Stop();
 
   /// The bound port, valid after a successful Start().
-  int port() const { return port_; }
+  int port() const { return listener_.port(); }
 
   /// Replaces the /metrics snapshot.  Callable from the driver thread while
   /// the accept thread serves; the new page is visible to the next scrape.
@@ -79,11 +80,9 @@ class ScrapeServer {
   }
 
  private:
-  void Serve();
   void HandleConnection(int fd);
 
-  int listen_fd_ = -1;
-  int port_ = 0;
+  LoopbackListener listener_;
   std::thread thread_;
   std::atomic<bool> stop_{false};
   std::atomic<int64_t> requests_served_{0};

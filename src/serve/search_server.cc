@@ -1,14 +1,8 @@
 #include "serve/search_server.h"
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
-
-#include <cerrno>
-#include <cstring>
-#include <system_error>
 
 #include "obs/exposition.h"
 #include "obs/obs_macros.h"
@@ -18,22 +12,6 @@
 
 namespace ujoin {
 namespace serve {
-
-namespace {
-
-/// Sends all of `data`, tolerating short writes.  MSG_NOSIGNAL turns a peer
-/// that hung up into an error return instead of SIGPIPE.
-void SendAll(int fd, const std::string& data) {
-  size_t sent = 0;
-  while (sent < data.size()) {
-    const ssize_t n =
-        send(fd, data.data() + sent, data.size() - sent, MSG_NOSIGNAL);
-    if (n <= 0) return;
-    sent += static_cast<size_t>(n);
-  }
-}
-
-}  // namespace
 
 SearchServer::SearchServer(const SimilaritySearcher* searcher,
                            const ServeOptions& options)
@@ -45,43 +23,12 @@ SearchServer::SearchServer(const SimilaritySearcher* searcher,
 SearchServer::~SearchServer() { Stop(); }
 
 Status SearchServer::Start() {
-  listen_fd_ = socket(AF_INET, SOCK_STREAM, 0);
-  if (listen_fd_ < 0) return Status::IoError("socket() failed");
-  const int one = 1;
-  setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(static_cast<uint16_t>(options_.port));
-  if (bind(listen_fd_, reinterpret_cast<const sockaddr*>(&addr),
-           sizeof(addr)) != 0) {
-    close(listen_fd_);
-    listen_fd_ = -1;
-    // std::strerror may return a static buffer; workers share this process.
-    return Status::IoError("bind(127.0.0.1:" + std::to_string(options_.port) +
-                           ") failed: " +
-                           std::system_category().message(errno));
-  }
-  if (listen(listen_fd_, 16) != 0) {
-    close(listen_fd_);
-    listen_fd_ = -1;
-    return Status::IoError("listen() failed");
-  }
-  sockaddr_in bound{};
-  socklen_t len = sizeof(bound);
-  if (getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&bound), &len) ==
-      0) {
-    port_ = static_cast<int>(ntohs(bound.sin_port));
-  } else {
-    port_ = options_.port;
-  }
+  UJOIN_RETURN_IF_ERROR(listener_.Listen(options_.port, /*backlog=*/16));
 
   if (options_.metrics_port >= 0) {
     const Status scrape_status = scrape_.Start(options_.metrics_port);
     if (!scrape_status.ok()) {
-      close(listen_fd_);
-      listen_fd_ = -1;
+      listener_.Close();
       return scrape_status;
     }
     scrape_running_ = true;
@@ -133,10 +80,7 @@ void SearchServer::Stop() {
   accept_thread_.join();
   for (std::thread& worker : workers_) worker.join();
   workers_.clear();
-  if (listen_fd_ >= 0) {
-    close(listen_fd_);
-    listen_fd_ = -1;
-  }
+  listener_.Close();
   if (watchdog_ != nullptr) watchdog_->Stop();
   {
     std::lock_guard<std::mutex> lock(agg_mu_);
@@ -194,17 +138,7 @@ std::string SearchServer::StallsJson() const {
 }
 
 void SearchServer::AcceptLoop() {
-  // Poll-with-timeout instead of a bare blocking accept (the ScrapeServer
-  // idiom): the 100 ms tick is how Stop() gets the thread's attention
-  // without racing a close() against an accept() in flight.
-  while (!stop_.load(std::memory_order_relaxed)) {
-    pollfd pfd{};
-    pfd.fd = listen_fd_;
-    pfd.events = POLLIN;
-    const int ready = poll(&pfd, 1, /*timeout_ms=*/100);
-    if (ready <= 0) continue;
-    const int fd = accept(listen_fd_, nullptr, nullptr);
-    if (fd < 0) continue;
+  listener_.AcceptUntil(stop_, [this](int fd) {
     const int slot = pool_.TryAcquire();
     if (slot < 0) {
       // Admission control: every workspace is leased to a live connection.
@@ -215,7 +149,7 @@ void SearchServer::AcceptLoop() {
       }
       SendAll(fd, RenderBusyResponse());
       close(fd);
-      continue;
+      return;
     }
     {
       std::lock_guard<std::mutex> lock(agg_mu_);
@@ -227,7 +161,7 @@ void SearchServer::AcceptLoop() {
       mailbox_[static_cast<size_t>(slot)] = Mail{fd, conn};
     }
     mailbox_cv_.notify_all();
-  }
+  });
 }
 
 void SearchServer::ConnectionWorker(int slot) {

@@ -17,6 +17,7 @@
 #include "obs/scrape_server.h"
 #include "obs/watchdog.h"
 #include "serve/workspace_pool.h"
+#include "util/loopback_listener.h"
 #include "util/status.h"
 
 namespace ujoin {
@@ -116,7 +117,7 @@ class SearchServer {
   void Stop();
 
   /// The bound query port, valid after a successful Start().
-  int port() const { return port_; }
+  int port() const { return listener_.port(); }
   /// The bound scrape port, or -1 when the endpoint is disabled.
   int metrics_port() const;
 
@@ -171,8 +172,7 @@ class SearchServer {
   const SimilaritySearcher* searcher_;
   ServeOptions options_;
 
-  int listen_fd_ = -1;
-  int port_ = 0;
+  LoopbackListener listener_;
   std::atomic<bool> stop_{false};
   std::thread accept_thread_;
 

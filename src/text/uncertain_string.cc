@@ -138,7 +138,8 @@ UncertainString::Builder& UncertainString::Builder::AddUncertain(
             });
   double sum = 0.0;
   for (size_t j = 0; j < alternatives.size(); ++j) {
-    if (alternatives[j].prob <= 0.0) {
+    // Negated tests, so a NaN probability fails them too.
+    if (!(alternatives[j].prob > 0.0)) {
       deferred_error_ = Status::InvalidArgument(
           "non-positive probability at position " + std::to_string(position));
       return *this;
@@ -151,7 +152,7 @@ UncertainString::Builder& UncertainString::Builder::AddUncertain(
     }
     sum += alternatives[j].prob;
   }
-  if (std::fabs(sum - 1.0) > kSumTolerance) {
+  if (!(std::fabs(sum - 1.0) <= kSumTolerance)) {
     deferred_error_ = Status::InvalidArgument(
         "probabilities at position " + std::to_string(position) +
         " sum to " + FormatProb(sum) + ", expected 1");

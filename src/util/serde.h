@@ -58,12 +58,20 @@ class BinaryReader {
   Result<int64_t> ReadI64() { return ReadScalar<int64_t>(); }
   Result<double> ReadDouble() { return ReadScalar<double>(); }
 
-  Result<std::string> ReadString() {
-    Result<uint64_t> size = ReadU64();
-    if (!size.ok()) return size.status();
-    if (*size > buffer_.size() - offset_) {
-      return Corrupt("string length exceeds remaining bytes");
+  /// Reads an element count and rejects one that the remaining bytes
+  /// cannot hold at `min_bytes_each` bytes per element, so a corrupt count
+  /// fails here instead of driving a huge reserve().
+  Result<uint64_t> ReadCount(size_t min_bytes_each) {
+    Result<uint64_t> count = ReadU64();
+    if (count.ok() && *count > (buffer_.size() - offset_) / min_bytes_each) {
+      return Corrupt("count exceeds remaining bytes");
     }
+    return count;
+  }
+
+  Result<std::string> ReadString() {
+    Result<uint64_t> size = ReadCount(1);
+    if (!size.ok()) return size.status();
     std::string out = buffer_.substr(offset_, *size);
     offset_ += *size;
     return out;

@@ -3,6 +3,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -94,6 +95,40 @@ IndexLayout WalkIndex(const std::string& bytes, size_t at) {
   }
   EXPECT_EQ(at, bytes.size()) << "index walk out of step with the format";
   return layout;
+}
+
+/// Byte offset of the collection count in a saved searcher: magic,
+/// version, k, tau, q, flags, and verify method come first.
+constexpr size_t kCollectionCountOffset = 4 + 4 + 4 + 8 + 4 + 1 + 1;
+
+/// Saves a q-gram-indexed searcher over `collection` to `path`; returns the
+/// saved bytes and walks their index section into `layout`.
+std::string SaveIndexed(const std::vector<UncertainString>& collection,
+                        const std::string& path, IndexLayout* layout) {
+  JoinOptions options = JoinOptions::Qfct(2, 0.1);
+  // The same searcher without a q-gram index ends where the index begins.
+  options.use_qgram_filter = false;
+  Result<SimilaritySearcher> no_index =
+      SimilaritySearcher::Create(collection, Alphabet::Names(), options);
+  EXPECT_TRUE(no_index.ok() && no_index->Save(path).ok());
+  const size_t index_start = ReadAll(path).size();
+  options.use_qgram_filter = true;
+  Result<SimilaritySearcher> indexed =
+      SimilaritySearcher::Create(collection, Alphabet::Names(), options);
+  EXPECT_TRUE(indexed.ok() && indexed->Save(path).ok());
+  const std::string saved = ReadAll(path);
+  *layout = WalkIndex(saved, index_start);
+  return saved;
+}
+
+/// Writes `bytes` to `path` and expects Load to reject them as corrupt.
+void ExpectRejected(const std::string& path, const std::string& bytes,
+                    const std::string& what) {
+  WriteAll(path, bytes);
+  Result<SimilaritySearcher> loaded =
+      SimilaritySearcher::Load(path, Alphabet::Names());
+  ASSERT_FALSE(loaded.ok()) << what;
+  EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument) << what;
 }
 
 TEST(IndexSerializationTest, RoundTripPreservesQueries) {
@@ -280,40 +315,17 @@ TEST(SearcherPersistenceTest, RejectsGarbageAndTruncation) {
 // Queries index per-id scratch by posting id, so Load must reject an index
 // whose ids are out of order or out of range instead of trusting them.
 TEST(SearcherPersistenceTest, RejectsCorruptIndexIds) {
-  const Alphabet alphabet = Alphabet::Names();
   const std::vector<UncertainString> collection = SmallDataset(60, 309);
-  JoinOptions options = JoinOptions::Qfct(2, 0.1);
   const std::string path = TempPath("ujoin_searcher_ids.bin");
-  // The same searcher without a q-gram index ends where the index begins.
-  options.use_qgram_filter = false;
-  Result<SimilaritySearcher> no_index =
-      SimilaritySearcher::Create(collection, alphabet, options);
-  ASSERT_TRUE(no_index.ok());
-  ASSERT_TRUE(no_index->Save(path).ok());
-  const size_t index_start = ReadAll(path).size();
-  options.use_qgram_filter = true;
-  Result<SimilaritySearcher> original =
-      SimilaritySearcher::Create(collection, alphabet, options);
-  ASSERT_TRUE(original.ok());
-  ASSERT_TRUE(original->Save(path).ok());
-  const std::string saved = ReadAll(path);
-  ASSERT_TRUE(SimilaritySearcher::Load(path, alphabet).ok());
-  const IndexLayout layout = WalkIndex(saved, index_start);
+  IndexLayout layout;
+  const std::string saved = SaveIndexed(collection, path, &layout);
+  ASSERT_TRUE(SimilaritySearcher::Load(path, Alphabet::Names()).ok());
   ASSERT_FALSE(layout.posting_lists.empty());
-
-  const auto expect_rejected = [&](const std::string& bytes,
-                                   const char* what) {
-    WriteAll(path, bytes);
-    Result<SimilaritySearcher> loaded =
-        SimilaritySearcher::Load(path, alphabet);
-    ASSERT_FALSE(loaded.ok()) << what;
-    EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument) << what;
-  };
 
   // A bit-flipped posting id far past every indexed id.
   std::string huge_id = saved;
   PatchU32(&huge_id, layout.posting_lists.front().offset, 0xFFFFFFF0u);
-  expect_rejected(huge_id, "posting id 0xFFFFFFF0");
+  ExpectRejected(path, huge_id, "posting id 0xFFFFFFF0");
 
   // A posting list whose first two ids are swapped.
   const auto pair = std::find_if(
@@ -324,7 +336,7 @@ TEST(SearcherPersistenceTest, RejectsCorruptIndexIds) {
   const size_t second = pair->offset + sizeof(uint32_t) + sizeof(double);
   PatchU32(&swapped, pair->offset, U32At(saved, second));
   PatchU32(&swapped, second, U32At(saved, pair->offset));
-  expect_rejected(swapped, "posting list out of order");
+  ExpectRejected(path, swapped, "posting list out of order");
 
   // A bucket whose largest id (still in order) is past the collection.
   const IndexLayout::IdList& ids = layout.bucket_ids.front();
@@ -332,7 +344,61 @@ TEST(SearcherPersistenceTest, RejectsCorruptIndexIds) {
   std::string past_end = saved;
   PatchU32(&past_end, ids.offset + (ids.count - 1) * sizeof(uint32_t),
            static_cast<uint32_t>(collection.size()) + 5);
-  expect_rejected(past_end, "indexed id past the collection");
+  ExpectRejected(path, past_end, "indexed id past the collection");
+  std::remove(path.c_str());
+}
+
+// A flipped probability is rejected instead of trusted: a NaN upper
+// bound would survive every `bound <= tau` pruning test.
+TEST(SearcherPersistenceTest, RejectsCorruptProbabilities) {
+  const std::string path = TempPath("ujoin_searcher_probs.bin");
+  IndexLayout layout;
+  const std::string saved = SaveIndexed(SmallDataset(60, 310), path, &layout);
+  ASSERT_FALSE(layout.posting_lists.empty());
+  const auto patched = [&](size_t offset, double value) {
+    std::string bytes = saved;
+    std::memcpy(bytes.data() + offset, &value, sizeof(value));
+    return bytes;
+  };
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const size_t posting_prob =
+      layout.posting_lists.front().offset + sizeof(uint32_t);
+  ExpectRejected(path, patched(posting_prob, nan), "posting probability NaN");
+  ExpectRejected(path, patched(posting_prob, 1.5), "posting probability 1.5");
+  ExpectRejected(path, patched(posting_prob, -0.25),
+                 "posting probability -0.25");
+  // The first string's first probability follows the count and the
+  // string's length, alternative count, and symbol.
+  ExpectRejected(path, patched(kCollectionCountOffset + 8 + 4 + 4 + 1, nan),
+                 "collection probability NaN");
+  std::remove(path.c_str());
+}
+
+// A flipped high bit in a persisted count must fail the load, not drive a
+// reserve() of 2^56 elements into std::bad_alloc.
+std::string FlipBit56(std::string bytes, size_t u64_offset) {
+  bytes[u64_offset + 7] = static_cast<char>(bytes[u64_offset + 7] ^ 1);
+  return bytes;
+}
+
+TEST(SearcherPersistenceTest, RejectsHugeCollectionCount) {
+  const std::string path = TempPath("ujoin_searcher_count.bin");
+  IndexLayout layout;
+  const std::string saved = SaveIndexed(SmallDataset(60, 311), path, &layout);
+  ExpectRejected(path, FlipBit56(saved, kCollectionCountOffset),
+                 "collection count");
+  std::remove(path.c_str());
+}
+
+TEST(SearcherPersistenceTest, RejectsHugeBucketIdCount) {
+  const std::string path = TempPath("ujoin_searcher_id_count.bin");
+  IndexLayout layout;
+  const std::string saved = SaveIndexed(SmallDataset(60, 311), path, &layout);
+  ASSERT_FALSE(layout.bucket_ids.empty());
+  ExpectRejected(path,
+                 FlipBit56(saved, layout.bucket_ids.front().offset -
+                                      sizeof(uint64_t)),
+                 "bucket id count");
   std::remove(path.c_str());
 }
 

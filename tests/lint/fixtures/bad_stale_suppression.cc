@@ -11,16 +11,16 @@ namespace ujoin {
 class FlatPostings {
  public:
   int CountFor(int key) const {
-    // The allocation this once excused was refactored away; the escape
+    // The unordered walk this once excused was refactored away; the escape
     // hatch is now held open for whatever lands on the next line.
-    // ujoin-lint: allow(probe-path-alloc)
+    // ujoin-lint: allow(unordered-iteration)
     return key + size_;
   }
 
   int SizeTimes(int factor) const {
     // A typo'd rule name never matched anything, so the "suppressed"
     // violation would still have been reported had there been one.
-    return size_ * factor;  // ujoin-lint: allow(probe-path-allocs)
+    return size_ * factor;  // ujoin-lint: allow(unordered-iterations)
   }
 
   int Saturate(int v) const {

@@ -4,20 +4,23 @@
 // absorbs a real violation on its own or the following line, so none is
 // stale.
 #include <string>
-#include <vector>
+#include <unordered_map>
 
 namespace ujoin {
 
 class FlatPostings {
  public:
-  std::vector<int> IdsFor(const std::string& key) const {
-    // Legacy allocating overload kept for tests: both escapes are used.
-    // ujoin-lint: allow(probe-path-alloc) -- allocating API kept for tests
-    std::vector<int> out;
-    std::string copy = key;  // ujoin-lint: allow(probe-path-alloc)
-    out.push_back(static_cast<int>(copy.size()));
-    return out;
+  int DebugTotal() const {
+    // Order-free sum for a debug dump: both escapes are used.
+    int total = 0;
+    // ujoin-lint: allow(unordered-iteration) -- the sum ignores order
+    for (const auto& [key, count] : counts_) total += count;
+    auto it = counts_.begin();  // ujoin-lint: allow(unordered-iteration)
+    return total + (it == counts_.end() ? 0 : it->second);
   }
+
+ private:
+  std::unordered_map<std::string, int> counts_;
 };
 
 }  // namespace ujoin

@@ -1,5 +1,7 @@
 #include "text/uncertain_string.h"
 
+#include <limits>
+
 #include <gtest/gtest.h>
 
 #include "testing/test_util.h"
@@ -65,6 +67,7 @@ TEST(UncertainStringTest, ParseRejectsMalformedInput) {
   EXPECT_FALSE(UncertainString::Parse("A{(C0.5)}", dna).ok());    // no ','
   EXPECT_FALSE(UncertainString::Parse("A{(C,x)}", dna).ok());     // bad prob
   EXPECT_FALSE(UncertainString::Parse("A{(C,0.5),(G,0.2)}", dna).ok());  // sum
+  EXPECT_FALSE(UncertainString::Parse("A{(C,nan),(G,1)}", dna).ok());  // NaN
 }
 
 TEST(UncertainStringTest, BuilderRejectsBadDistributions) {
@@ -86,6 +89,13 @@ TEST(UncertainStringTest, BuilderRejectsBadDistributions) {
   {
     UncertainString::Builder b;
     b.AddUncertain({});  // empty position
+    EXPECT_FALSE(b.Build().ok());
+  }
+  {
+    // NaN compares false both ways, so a `prob <= 0` test lets it through.
+    UncertainString::Builder b;
+    b.AddUncertain({{'A', std::numeric_limits<double>::quiet_NaN()},
+                    {'C', 1.0}});
     EXPECT_FALSE(b.Build().ok());
   }
 }

@@ -16,7 +16,7 @@
 # serve`, a /metrics scrape of the serve-layer series, a clean SIGINT
 # shutdown, and the watchdog-stall leg (slow query under --watchdog-ms,
 # /debug/stalls content identical across 1/2/4 concurrent clients, flight
-# records validated by tools/validate_flight_record.py).
+# records validated by tools/validate_artifact.py).
 #
 # Usage: tools/check.sh [jobs]
 #   jobs defaults to the machine's core count.
@@ -39,8 +39,7 @@ python3 tools/ujoin_lint.py --self-test
 python3 tools/ujoin_lint.py
 python3 tools/ujoin_effects.py --self-test
 python3 tools/ujoin_effects.py --require-roots
-python3 tools/validate_query_log.py --self-test
-python3 tools/validate_flight_record.py --self-test
+python3 tools/validate_artifact.py --self-test
 
 echo "==> [2/14] configure + build (Release, warnings as errors)"
 cmake -B build -S . -DUJOIN_WERROR=ON >/dev/null

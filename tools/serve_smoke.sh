@@ -12,7 +12,7 @@
 #      reflect the batch just sent;
 #   4. shuts the server down with SIGINT and checks a clean exit plus the
 #      shutdown summary on stderr, then validates the structured query log
-#      the run wrote with tools/validate_query_log.py.
+#      the run wrote with tools/validate_artifact.py.
 #
 #   5. runs the watchdog leg: three fresh serve instances under
 #      --watchdog-ms with 1, 2, and 4 concurrent clients all sending the
@@ -160,7 +160,7 @@ print(f"answered {len(queries) + 2} requests, scraped /metrics "
       f"({len(body)} bytes)")
 PYEOF
 
-python3 tools/validate_exposition.py "$DIR/metrics.prom"
+python3 tools/validate_artifact.py exposition "$DIR/metrics.prom"
 
 kill -INT "$SERVE_PID"
 wait "$SERVE_PID"
@@ -174,7 +174,7 @@ echo "server exited cleanly on SIGINT with shutdown summary"
 # (10 good + 1 error + 1 retry), flushed at the batch boundary and closed
 # on shutdown.
 grep -q "^query-log: wrote 12 records to " "$DIR/serve.err"
-python3 tools/validate_query_log.py "$DIR/query_log.jsonl"
+python3 tools/validate_artifact.py query_log "$DIR/query_log.jsonl"
 [[ "$(wc -l < "$DIR/query_log.jsonl")" == "12" ]]
 grep -q '"status":"error"' "$DIR/query_log.jsonl"
 echo "query log is schema-valid (12 records, error record included)"
@@ -282,7 +282,7 @@ PYEOF
   trap - EXIT
   grep -q "^serve: shutting down$" "$ERR"
   grep -q "^flight-record: wrote " "$ERR"
-  python3 tools/validate_flight_record.py "$DIR/stall_flight_$CLIENTS.json"
+  python3 tools/validate_artifact.py flight_record "$DIR/stall_flight_$CLIENTS.json"
   grep -q '"kind":"stall_captured"' "$DIR/stall_flight_$CLIENTS.json"
 done
 

@@ -1,14 +1,14 @@
 #!/usr/bin/env python3
 """ujoin_effects: whole-repo transitive effect analyzer for ujoin.
 
-tools/ujoin_lint.py spot-checks invariants file by file; this tool proves
-the *transitive* versions.  It reuses the linter's comment-stripping lexer
-and brace-depth function tracker to extract a function-level call graph of
-src/ and tools/, infers a per-function effect set, propagates effects over
-the graph, and verifies the contracts below, reporting every violation
-with a full call-chain witness.  (libclang is not available in the build
-container; like the linter, this is a regex-AST hybrid, tuned to the
-repo's own idioms.)
+tools/ujoin_lint.py checks per-file coding rules; this tool proves the
+invariants that hold *transitively*, each in exactly one place.  It reuses
+the linter's comment-stripping lexer and brace-depth function tracker to
+extract a function-level call graph of src/ and tools/, infers a
+per-function effect set, propagates effects over the graph, and verifies
+the contracts below, reporting every violation with a full call-chain
+witness.  (libclang is not available in the build container; like the
+linter, this is a regex-AST hybrid, tuned to the repo's own idioms.)
 
 Effect lattice (a set union lattice; bigger = more effects):
 
@@ -26,7 +26,7 @@ Effect lattice (a set union lattice; bigger = more effects):
   unordered_iter iterating an unordered_{map,set}: order depends on hash
                  seeding and insertion history
   obs_record     direct Recorder mutation (RecordHist/AddCounter/SetGauge/
-                 AddFunnel)
+                 AddFunnel) or FlightRecorder::RecordEvent call
 
 Annotation grammar (in comments, attached to the function they precede or
 enclose):
@@ -70,8 +70,10 @@ Contracts (frozen in CONTRACTS below; see DESIGN.md "Effect analysis"):
   serve-steady      Serve request handlers and the aggregate fold/snapshot
                     path reach no unbounded blocking call: a slow scrape
                     or a stuck peer must not stall query folds.
-  obs-isolation     obs_record happens only inside src/obs/ (reached
-                    through the UJOIN_OBS_* macro layer), transitively.
+  obs-isolation     obs_record (Recorder mutation, flight-event recording)
+                    happens only inside src/obs/, reached through the
+                    UJOIN_OBS_* macro layer.  Every line outside src/obs/
+                    is scanned, function bodies and file scope alike.
   stale-annotation  Every ujoin-effect annotation (and whitelist entry)
                     is load-bearing; stale ones are errors.
 
@@ -154,18 +156,39 @@ _WALL_CLOCK_PATTERNS = [
      "stopwatch construction"),
 ]
 
-# A local declaration of an unordered container, and iteration over one
-# (shared shapes with the linter's per-file rule).
-_UNORDERED_ITER_PATTERNS = [
-    (lint._RANGE_FOR_SPLIT_RE, None),   # handled specially below
+# Container construction counts only inside a function body: at class
+# scope the same syntax is a member declaration (the reusable workspace
+# pattern), and such lines belong to no function.
+_ALLOC_PATTERNS = [
+    (re.compile(r"(?<![\w:])new\b(?!\s*\()"), "operator new"),
+    (re.compile(r"(?<![\w:])new\s*\("), "placement/operator new"),
+    (re.compile(r"(?<![\w:.>])(?:std\s*::\s*)?(?:m|c|re)alloc\s*\("),
+     "malloc-family call"),
+    (re.compile(r"make_(?:unique|shared)\s*<"), "make_unique/make_shared"),
+    (re.compile(
+        r"(?<![\w:])(?:std\s*::\s*)?"
+        r"(?:vector|deque|list|map|set|multimap|multiset|"
+        r"unordered_map|unordered_set|basic_string)\s*<[^;{}]*>\s+(\w+)"
+        r"\s*[;({=]"),
+     "local allocating container"),
+    (re.compile(r"(?<![\w:])std\s*::\s*string\s+(\w+)\s*[;({=]"),
+     "local std::string"),
 ]
+
+# Recording outside the UJOIN_OBS_* macro layer: Recorder mutation and
+# flight-event recording.  Taking the recorder pointer (GlobalRecorder(),
+# GlobalFlightRecorder()) for lifecycle wiring is fine; only recording is
+# confined to src/obs/.
+_OBS_DIRECT_RE = re.compile(
+    r"(?:\.|->)\s*(RecordHist|AddCounter|SetGauge|AddFunnel|RecordEvent)"
+    r"\s*\(")
 
 
 def _line_effects(line: str, unordered_names: set[str]
                   ) -> list[tuple[str, str]]:
     """Direct effect evidence on one stripped line: (effect, what) pairs."""
     out: list[tuple[str, str]] = []
-    for pat, what, _file_scope in lint._ALLOC_PATTERNS:
+    for pat, what in _ALLOC_PATTERNS:
         if pat.search(line):
             out.append(("alloc", what))
             break
@@ -204,8 +227,9 @@ def _line_effects(line: str, unordered_names: set[str]
             if base in unordered_names:
                 out.append(("unordered_iter",
                             "iterator over unordered container"))
-    if lint._OBS_DIRECT_RE.search(line):
-        out.append(("obs_record", "direct Recorder mutation"))
+    m = _OBS_DIRECT_RE.search(line)
+    if m:
+        out.append(("obs_record", f"direct {m.group(1)} call"))
     return out
 
 
@@ -254,7 +278,6 @@ class Node:
     declares: dict = field(default_factory=dict)    # effect -> Annotation
     assumes: dict = field(default_factory=dict)     # effect -> Annotation
     callees: set = field(default_factory=set)       # node quals
-    is_macro: bool = False
 
     def direct_effects(self) -> set[str]:
         return {e.effect for e in self.evidence} | set(self.declares)
@@ -282,6 +305,7 @@ _MEMBER_BIND_RE = re.compile(
     r"^\s*(?:const\s+|static\s+|mutable\s+)*"
     r"((?:\w+\s*::\s*)*[A-Z]\w*)(?:<[^;{}()]*>)?[&*\s]+(\w+_)\s*[;={]")
 _MACRO_DEF_RE = re.compile(r"^\s*#\s*define\s+(UJOIN_\w+)\s*\(")
+_LAMBDA_BIND_RE = re.compile(r"(\w+)\s*=\s*\[")
 # Lowercase std:: vocabulary types the class-style binder misses.  Binding
 # them lets builtin-call inference stay type-aware: string_view::substr is
 # allocation-free while string::substr is not.
@@ -356,8 +380,18 @@ class Graph:
             n = self.node(span.qual)
             if rel not in n.files:
                 n.files.append(rel)
-            n.is_macro = n.is_macro or span.qual.startswith("UJOIN_")
             span_nodes.append(n)
+        # A lambda bound to a name outside any function (`const auto kF =
+        # [](...) {`) is called through that name, so a pseudo-node for the
+        # name calls it.  A lambda inside a function is its definer's child.
+        for span, n in zip(spans, span_nodes):
+            m = _LAMBDA_BIND_RE.search(stripped_lines[span.start_line - 1])
+            if span.is_lambda and span.parent is None and m:
+                scope = span.qual.rpartition("::")[0]
+                alias = self.node(f"{scope}::{m.group(1)}" if scope
+                                  else m.group(1))
+                alias.files.append(rel)
+                alias.callees.add(n.qual)
         # Unordered container names declared anywhere in this file feed the
         # unordered_iter evidence patterns.
         unordered_names = set(
@@ -367,6 +401,14 @@ class Graph:
         for i, line in enumerate(stripped_lines, 1):
             idx = line_span[i - 1]
             if idx is None:
+                # Outside every body (initializers, class scope, other
+                # macros): no call reaches the line, but obs-isolation
+                # still scans it.
+                for effect, what in _line_effects(line, unordered_names):
+                    if effect == "obs_record":
+                        scope = self.node(f"(file scope)@{rel}")
+                        scope.files = [rel]
+                        scope.evidence.append(Evidence(effect, rel, i, what))
                 continue
             node = span_nodes[idx]
             for effect, what in _line_effects(line, unordered_names):
@@ -688,10 +730,12 @@ CONTRACTS = [
     },
 ]
 
-# obs-isolation: direct Recorder mutation is confined to src/obs/ (every
-# other instrumentation site goes through the UJOIN_OBS_* macro layer, which
-# lives there).  Checked as a scope contract over direct evidence — the
-# transitive closure through the macro nodes is masked at src/obs/*.
+# obs-isolation: direct Recorder mutation and flight-event recording are
+# confined to src/obs/ (every other instrumentation site goes through the
+# UJOIN_OBS_* macro layer, which lives there, so -DUJOIN_OBS=OFF compiles
+# it out and the null-recorder guard is kept).  Checked as a scope contract
+# over direct evidence — the transitive closure through the macro nodes is
+# masked at src/obs/*.
 OBS_ISOLATION = {
     "name": "obs-isolation",
     "doc": "obs_record only inside src/obs/ (reached via UJOIN_OBS_*)",
@@ -827,8 +871,6 @@ class Analysis:
         globs = OBS_ISOLATION["allow_path_globs"]
         for qual in sorted(g.nodes):
             node = g.nodes[qual]
-            if node.is_macro:
-                continue
             if node.files and all(lint._matches(f, globs)
                                   for f in node.files):
                 continue
@@ -1068,6 +1110,15 @@ def run_self_test(root: str) -> int:
     check("embedded: stale assumes reported",
           any(s.kind == "stale-annotation" and "assumes(io)" in s.message
               for s in bad.stale))
+    # Recording outside every function body is scanned too: a file-scope
+    # initializer and a UJOIN_* macro defined outside src/obs/.
+    scoped = analyze({"src/join/self_join.cc": """
+#define UJOIN_BYPASS(r) (r)->RecordEvent(1, 2, 3)
+static const int kWarm = (GlobalRecorder()->AddCounter(1, 1), 0);
+"""})
+    check("embedded: obs-isolation scans file scope and macros",
+          len(scoped.violations) == 2,
+          f"got {[(v.function, v.evidence.line) for v in scoped.violations]}")
     clean = analyze(_EMBEDDED_CLEAN)
     check("embedded: declares() blesses the chain",
           not [v for v in clean.violations if v.contract == "probe-path"],
@@ -1125,6 +1176,15 @@ class InvertedSegmentIndex { public: void Query() { A(); } };
                 golden = f.read()
             ok = rendered == golden
             detail = f"report does not match {golden_path} byte-for-byte"
+        if ok and "without_annotations" in expect:
+            # The tree's annotations are load-bearing: with every one
+            # stripped, the stated number of violations must appear.
+            bare = analyze({rel: _ANNOT_RE.sub("", text)
+                            for rel, text in files.items()})
+            ok = len(bare.violations) == expect["without_annotations"]
+            detail = (f"{len(bare.violations)} violation(s) without "
+                      f"annotations, expected "
+                      f"{expect['without_annotations']}")
         for v in analysis.violations:
             if len(v.path) >= 3:
                 saw_multi_hop = True

@@ -10,7 +10,10 @@ per-rule regexes run over the stripped source.  (libclang is not available
 in the build container; the lexer+tracker recovers the structure the rules
 need.)
 
-Rules (see DESIGN.md "Static analysis and CI gates"):
+Rules (see DESIGN.md "Static analysis and CI gates").  Invariants that
+hold transitively are proven once, by tools/ujoin_effects.py, not here:
+the allocation-free probe path (`probe-path` contract) and instrumentation
+through the UJOIN_OBS_* macros only (`obs-isolation`).
 
   rng-source
       rand()/srand()/time()/std::random_device/std::mt19937 anywhere except
@@ -23,20 +26,6 @@ Rules (see DESIGN.md "Static analysis and CI gates"):
       output.  Unordered iteration order depends on hash seeding and
       insertion history, which silently breaks byte-identical results
       across thread counts and save/load round-trips.
-
-  probe-path-alloc
-      new/malloc-family/make_unique/make_shared or construction of a local
-      allocating container inside the frozen probe path
-      (flat_postings, segment_index, probe_set), outside whitelisted
-      build/freeze functions.  The steady-state probe path must not
-      allocate; the operator-new hook tests prove it at runtime for tested
-      inputs, this rule keeps untested branches honest.
-
-  obs-macro-only
-      Direct Recorder recording calls (RecordHist/AddCounter/SetGauge/
-      AddFunnel) outside src/obs/.  Instrumentation must go through the
-      UJOIN_OBS_* macros so -DUJOIN_OBS=OFF compiles it out and every site
-      keeps the null-recorder guard.
 
   simd-intrinsics
       Raw SIMD intrinsics (immintrin/arm_neon includes, _mm*/__m* tokens,
@@ -59,16 +48,9 @@ Rules (see DESIGN.md "Static analysis and CI gates"):
       (responses, /healthz, query-log records, the /debug/slow page) must
       be rendered through the shared renderers — protocol.cc for the wire
       protocol, the obs::QueryLog/RenderSlowQueriesPage API for records —
-      so tools/validate_query_log.py and the byte-golden tests pin every
+      so tools/validate_artifact.py and the byte-golden tests pin every
       byte that leaves the server.  Ad-hoc JsonWriter use in the server
       would create a second, unvalidated serialization path.
-
-  flight-macro-only
-      Direct FlightRecorder::RecordEvent calls outside src/obs/.  Flight
-      events must be recorded through UJOIN_OBS_FLIGHT_EVENT so
-      -DUJOIN_OBS=OFF compiles them out and every site stays on the
-      alloc/lock/io-free record path the flight-path effects contract
-      proves (tools/ujoin_effects.py).
 
   stale-suppression
       An `ujoin-lint: allow(<rule>)` comment that suppresses nothing: the
@@ -80,8 +62,8 @@ Rules (see DESIGN.md "Static analysis and CI gates"):
 
 Suppression: append `// ujoin-lint: allow(<rule>)` on the offending line
 (or the line above) with a reason.  Suppressions are deliberate, reviewed
-escapes — e.g. the legacy allocating Query overloads kept for API
-compatibility — and must stay load-bearing: an allow() that no longer
+escapes — e.g. a test-only jitter source on a path that never reaches
+results — and must stay load-bearing: an allow() that no longer
 suppresses anything is reported by the stale-suppression rule.
 
 Usage:
@@ -130,35 +112,6 @@ DETERMINISTIC_OUTPUT_GLOBS = [
     "tools/ujoin_cli.cc",
 ]
 
-# The frozen probe path and its per-file allocation whitelist: functions
-# that legitimately allocate because they build, freeze, serialize, or grow
-# a reusable workspace — never called per-probe in steady state.
-PROBE_PATH_ALLOC_WHITELIST = {
-    "src/index/flat_postings.h": {
-        "FlatPostings", "Add", "Freeze", "Rehash", "ForEachSorted",
-    },
-    "src/index/flat_postings.cc": {
-        "FlatPostings", "Add", "Freeze", "Rehash", "ForEachSorted",
-    },
-    "src/index/segment_index.h": {
-        "LengthBucketIndex", "InvertedSegmentIndex", "Insert", "Freeze",
-        "Serialize", "Deserialize", "MemoryUsage",
-    },
-    "src/index/segment_index.cc": {
-        "LengthBucketIndex", "InvertedSegmentIndex", "Insert", "Freeze",
-        "Serialize", "Deserialize", "MemoryUsage",
-    },
-    "src/filter/probe_set.h": {
-        "Reset",
-    },
-    "src/filter/probe_set.cc": {
-        "BuildProbeSet", "ForEachWindowWorld", "ExactOccurrenceProbability",
-    },
-}
-
-OBS_MACRO_SCOPE_GLOBS = ["src/*", "src/**/*", "tools/*"]
-OBS_MACRO_ALLOW_GLOBS = ["src/obs/*"]
-
 # The kernel layer: the only files allowed to contain raw intrinsics, and
 # the group within which every vector variant must have a scalar:: twin.
 SIMD_KERNEL_GLOBS = ["src/util/simd*"]
@@ -166,18 +119,15 @@ SIMD_KERNEL_GLOBS = ["src/util/simd*"]
 RULE_NAMES = (
     "rng-source",
     "unordered-iteration",
-    "probe-path-alloc",
-    "obs-macro-only",
     "simd-intrinsics",
     "simd-dispatch-fallback",
     "query-log-api",
-    "flight-macro-only",
     "stale-suppression",
 )
 
 # Serve-layer JSON rendering is confined to the shared renderers: every
 # byte the server emits is covered by the byte-golden protocol tests and
-# tools/validate_query_log.py.
+# tools/validate_artifact.py.
 QUERY_LOG_API_SCOPE_GLOBS = ["src/serve/*"]
 QUERY_LOG_API_ALLOW = {"src/serve/protocol.cc"}
 
@@ -535,20 +485,11 @@ def _display_name(spans: list[FunctionSpan], idx: int) -> str:
     return span.name
 
 
-def named_base(func: str) -> str:
-    """The named function a (possibly lambda-nested) lint frame belongs
-    to: `Freeze::(lambda@12)` -> `Freeze`.  Lambdas inherit their defining
-    function's whitelist membership — the effect analyzer
-    (tools/ujoin_effects.py) is the layer that tracks where a lambda is
-    actually *invoked*."""
-    return func.split("::(lambda", 1)[0]
-
-
 def enclosing_functions(stripped: str) -> list[str | None]:
     """For each line (0-based) of the stripped source, the innermost
     function name enclosing that line, or None at namespace/class scope.
     Lambda bodies report `<function>::(lambda@LINE)` (nested lambdas
-    chain); rules that whitelist by function name compare named_base()."""
+    chain)."""
     spans = function_spans(stripped)
     n_lines = stripped.count("\n") + 1
     result: list[str | None] = [None] * n_lines
@@ -726,89 +667,6 @@ def check_unordered_iteration(path: str, stripped_lines: list[str],
     return out
 
 
-# (pattern, description, flag_at_file_scope): container construction is only
-# a violation inside a function body — at class scope the same syntax is a
-# member *declaration* (the reusable workspace pattern), and on signature
-# lines it is a return type.
-_ALLOC_PATTERNS = [
-    (re.compile(r"(?<![\w:])new\b(?!\s*\()"), "operator new", True),
-    (re.compile(r"(?<![\w:])new\s*\("), "placement/operator new", True),
-    (re.compile(r"(?<![\w:.>])(?:std\s*::\s*)?(?:m|c|re)alloc\s*\("),
-     "malloc-family call", True),
-    (re.compile(r"make_(?:unique|shared)\s*<"), "make_unique/make_shared",
-     True),
-    (re.compile(
-        r"(?<![\w:])(?:std\s*::\s*)?"
-        r"(?:vector|deque|list|map|set|multimap|multiset|"
-        r"unordered_map|unordered_set|basic_string)\s*<[^;{}]*>\s+(\w+)"
-        r"\s*[;({=]"),
-     "local allocating container", False),
-    (re.compile(r"(?<![\w:])std\s*::\s*string\s+(\w+)\s*[;({=]"),
-     "local std::string", False),
-]
-
-
-def check_probe_path_alloc(path: str, stripped_lines: list[str],
-                           functions: list[str | None] | None = None,
-                           **_) -> list[Violation]:
-    whitelist = PROBE_PATH_ALLOC_WHITELIST.get(path)
-    if whitelist is None:
-        return []
-    assert functions is not None
-    out = []
-    for i, line in enumerate(stripped_lines, 1):
-        func = functions[i - 1]
-        if func is not None and named_base(func) in whitelist:
-            continue
-        for pat, what, flag_at_file_scope in _ALLOC_PATTERNS:
-            if func is None and not flag_at_file_scope:
-                continue
-            m = pat.search(line)
-            if m is None:
-                continue
-            # A container type followed by the enclosing function's own name
-            # is that function's signature (return type), not a local.
-            if m.groups() and func is not None and m.group(1) == named_base(func):
-                continue
-            where = f"in '{func}'" if func else "at file scope"
-            out.append(Violation(
-                path, i, "probe-path-alloc",
-                f"{what} {where}: the frozen probe path must not "
-                f"allocate in steady state; move the allocation into a "
-                f"build/freeze function (whitelisted in ujoin_lint.py) "
-                f"or into a reusable workspace"))
-            break
-    return out
-
-
-_OBS_DIRECT_RE = re.compile(
-    r"(?:\.|->)\s*(RecordHist|AddCounter|SetGauge|AddFunnel)\s*\(")
-
-
-def check_obs_macro_only(path: str, stripped_lines: list[str],
-                         **_) -> list[Violation]:
-    if not _matches(path, OBS_MACRO_SCOPE_GLOBS):
-        return []
-    if _matches(path, OBS_MACRO_ALLOW_GLOBS):
-        return []
-    out = []
-    for i, line in enumerate(stripped_lines, 1):
-        m = _OBS_DIRECT_RE.search(line)
-        if m:
-            macro = {
-                "RecordHist": "UJOIN_OBS_HIST",
-                "AddCounter": "UJOIN_OBS_COUNTER",
-                "SetGauge": "UJOIN_OBS_GAUGE",
-                "AddFunnel": "UJOIN_OBS_FUNNEL",
-            }[m.group(1)]
-            out.append(Violation(
-                path, i, "obs-macro-only",
-                f"direct Recorder::{m.group(1)} call; record through "
-                f"{macro}(...) so -DUJOIN_OBS=OFF compiles it out and the "
-                f"null-recorder guard is kept"))
-    return out
-
-
 _INTRINSIC_PATTERNS = [
     (re.compile(r"#\s*include\s*<(?:[a-z]mm|imm|avx|arm_neon)\w*\.h>"),
      "intrinsics header include"),
@@ -895,45 +753,16 @@ def check_query_log_api(path: str, stripped_lines: list[str],
                 "render wire responses via serve/protocol.cc and query-log "
                 "records via the obs::QueryLog API so every emitted byte "
                 "stays covered by the byte-golden tests and "
-                "tools/validate_query_log.py"))
-    return out
-
-
-# A direct flight-event record call.  The watchdog (src/obs/) records its
-# own capture events and tests exercise the recorder directly; everything
-# else goes through UJOIN_OBS_FLIGHT_EVENT.  Taking the recorder pointer
-# (GlobalFlightRecorder()) for lifecycle wiring — watchdog construction,
-# the bench kill switch — is fine; only recording is confined.
-_FLIGHT_DIRECT_RE = re.compile(r"(?:\.|->)\s*RecordEvent\s*\(")
-
-
-def check_flight_macro_only(path: str, stripped_lines: list[str],
-                            **_) -> list[Violation]:
-    if not _matches(path, OBS_MACRO_SCOPE_GLOBS):
-        return []
-    if _matches(path, OBS_MACRO_ALLOW_GLOBS):
-        return []
-    out = []
-    for i, line in enumerate(stripped_lines, 1):
-        if _FLIGHT_DIRECT_RE.search(line):
-            out.append(Violation(
-                path, i, "flight-macro-only",
-                "direct FlightRecorder::RecordEvent call; record through "
-                "UJOIN_OBS_FLIGHT_EVENT(...) so -DUJOIN_OBS=OFF compiles "
-                "it out and the site stays on the flight-path contract's "
-                "alloc/lock/io-free record path"))
+                "tools/validate_artifact.py"))
     return out
 
 
 CHECKS = [
     check_rng_source,
     check_unordered_iteration,
-    check_probe_path_alloc,
-    check_obs_macro_only,
     check_simd_intrinsics,
     check_simd_dispatch_fallback,
     check_query_log_api,
-    check_flight_macro_only,
 ]
 
 
