@@ -2,6 +2,7 @@
 
 #include <cstring>
 
+#include "util/check.h"
 #include "util/simd.h"
 
 namespace ujoin {
@@ -40,6 +41,7 @@ void FlatPostings::Rehash(size_t slot_count) {
 }
 
 void FlatPostings::Add(std::string_view key, Posting posting) {
+  UJOIN_CHECK(!frozen_);
   if (slots_.empty()) Rehash(kInitialSlots);
   const uint64_t fp = fingerprint_(key.data(), key.size());
   const size_t mask = slots_.size() - 1;
@@ -50,6 +52,7 @@ void FlatPostings::Add(std::string_view key, Posting posting) {
     if (stored == 0) {
       entry_index = static_cast<uint32_t>(entries_.size());
       entries_.push_back(Entry{fp});
+      building_.emplace_back();
       key_arena_.insert(key_arena_.end(), key.begin(), key.end());
       slots_[slot] = entry_index + 1;
       // Growing right after the insertion that crossed the load threshold
@@ -68,17 +71,11 @@ void FlatPostings::Add(std::string_view key, Posting posting) {
     }
     slot = (slot + 1) & mask;
   }
-  Entry& entry = entries_[entry_index];
-  if (entry.delta_list < 0) {
-    entry.delta_list = static_cast<int32_t>(delta_lists_.size());
-    delta_lists_.emplace_back();
-  }
-  delta_lists_[static_cast<size_t>(entry.delta_list)].push_back(posting);
+  building_[entry_index].push_back(posting);
   ++num_postings_;
-  ++delta_postings_;
 }
 
-FlatPostings::ListView FlatPostings::Find(std::string_view key) const {
+std::span<const Posting> FlatPostings::Find(std::string_view key) const {
   if (slots_.empty() || key.size() != static_cast<size_t>(key_length_)) {
     return {};
   }
@@ -90,7 +87,7 @@ void FlatPostings::PrefetchSlot(uint64_t fp) const {
   simd::PrefetchRead(slots_.data() + (fp & (slots_.size() - 1)));
 }
 
-FlatPostings::ListView FlatPostings::FindWithFingerprint(
+std::span<const Posting> FlatPostings::FindWithFingerprint(
     uint64_t fp, std::string_view key) const {
   if (slots_.empty() || key.size() != static_cast<size_t>(key_length_)) {
     return {};
@@ -105,37 +102,27 @@ FlatPostings::ListView FlatPostings::FindWithFingerprint(
         std::memcmp(key_arena_.data() +
                         candidate * static_cast<size_t>(key_length_),
                     key.data(), key.size()) == 0) {
-      return ViewOf(entries_[candidate]);
+      return ListOf(candidate);
     }
     slot = (slot + 1) & mask;
   }
 }
 
 void FlatPostings::Freeze() {
-  if (delta_postings_ == 0) return;
+  if (frozen_) return;
   std::vector<uint32_t> order(entries_.size());
   for (uint32_t i = 0; i < order.size(); ++i) order[i] = i;
   std::sort(order.begin(), order.end(),
             [&](uint32_t a, uint32_t b) { return KeyAt(a) < KeyAt(b); });
-  std::vector<Posting> packed;
-  packed.reserve(static_cast<size_t>(num_postings_));
+  arena_.reserve(static_cast<size_t>(num_postings_));
   for (uint32_t e : order) {
-    Entry& entry = entries_[e];
-    const size_t begin = packed.size();
-    packed.insert(packed.end(), arena_.begin() + entry.arena_begin,
-                  arena_.begin() + entry.arena_begin + entry.arena_count);
-    if (entry.delta_list >= 0) {
-      const std::vector<Posting>& d =
-          delta_lists_[static_cast<size_t>(entry.delta_list)];
-      packed.insert(packed.end(), d.begin(), d.end());
-      entry.delta_list = -1;
-    }
-    entry.arena_begin = static_cast<uint32_t>(begin);
-    entry.arena_count = static_cast<uint32_t>(packed.size() - begin);
+    const std::vector<Posting>& list = building_[e];
+    entries_[e].arena_begin = static_cast<uint32_t>(arena_.size());
+    entries_[e].arena_count = static_cast<uint32_t>(list.size());
+    arena_.insert(arena_.end(), list.begin(), list.end());
   }
-  arena_ = std::move(packed);
-  delta_lists_.clear();
-  delta_postings_ = 0;
+  building_ = {};
+  frozen_ = true;
 }
 
 size_t FlatPostings::MemoryBytes() const {

@@ -36,16 +36,15 @@ using FingerprintFn = uint64_t (*)(const void* data, size_t len);
 /// heap allocation — the map-based layout it replaces copied every probe
 /// substring into a `std::string` just to hash it.
 ///
-/// Postings live in two tiers.  `Freeze()` packs everything accumulated so
-/// far into one contiguous arena, grouped by key in ascending key order (a
-/// deterministic layout, independent of insertion order and hash seeds).
-/// Postings added after the last freeze sit in small per-key delta lists.
-/// Ids are inserted in ascending order (the index drivers guarantee this),
-/// so a key's logical list is its frozen extent followed by its delta
-/// extent — already id-sorted, exposed as the two spans of a ListView.
-/// Steady-state probing therefore never requires a re-pack: the wave
-/// self-join queries an unfrozen index (all postings in deltas), while the
-/// searcher freezes once after build and probes the arena.
+/// The postings have two states.  While building, each key owns a list that
+/// `Add` appends to.  `Freeze()` packs every list into one contiguous arena,
+/// grouped by key in ascending key order (a deterministic layout,
+/// independent of insertion order and hash seeds), after which the postings
+/// are read-only.  Ids are inserted in ascending order (the index drivers
+/// guarantee this), so either way a key's list is one id-sorted span.  Both
+/// the searcher and the self-join build their index completely, freeze it
+/// once and then only probe the arena; lookups before the freeze still work
+/// (they see the building lists).
 ///
 /// Thread safety: `Find` and all const accessors are safe to call
 /// concurrently as long as no `Add`/`Freeze` runs at the same time.
@@ -55,31 +54,21 @@ class FlatPostings {
   /// Fingerprint64 (override only in tests).
   explicit FlatPostings(int key_length, FingerprintFn fingerprint = nullptr);
 
-  /// A key's postings: frozen extent (smaller ids) then delta extent.
-  struct ListView {
-    std::span<const Posting> base;
-    std::span<const Posting> delta;
-
-    bool empty() const { return base.empty() && delta.empty(); }
-    size_t size() const { return base.size() + delta.size(); }
-    const Posting& operator[](size_t i) const {
-      return i < base.size() ? base[i] : delta[i - base.size()];
-    }
-  };
-
   /// Appends `posting` to `key`'s list.  |key| must equal key_length();
   /// ids must be non-decreasing per key (the caller inserts strings in
-  /// ascending id order).
+  /// ascending id order).  Must not be called after Freeze().
   void Add(std::string_view key, Posting posting);
 
-  /// Zero-allocation lookup; both spans empty when the key is absent.
-  ListView Find(std::string_view key) const;
+  /// Zero-allocation lookup of `key`'s id-sorted postings; empty when the
+  /// key is absent.
+  std::span<const Posting> Find(std::string_view key) const;
 
   /// Find with the fingerprint computed up front — the batched probe path
   /// fingerprints a whole segment's keys in one kernel call
   /// (simd::Fingerprint64Batch) and then probes with the results.  `fp`
   /// must equal the instance's fingerprint function applied to `key`.
-  ListView FindWithFingerprint(uint64_t fp, std::string_view key) const;
+  std::span<const Posting> FindWithFingerprint(uint64_t fp,
+                                               std::string_view key) const;
 
   /// Hints the load of the hash slot `fp` would probe first, so a batch of
   /// FindWithFingerprint calls overlaps its cache misses.  No-op when empty.
@@ -91,13 +80,12 @@ class FlatPostings {
     return fingerprint_ == &Fingerprint64;
   }
 
-  /// Packs all postings (frozen extents + deltas) into one contiguous
-  /// arena grouped by key in ascending key order, then clears the deltas.
-  /// Idempotent; cheap when nothing changed since the last freeze.
+  /// Packs every key's list into one contiguous arena grouped by key in
+  /// ascending key order and releases the building lists.  Idempotent.
   void Freeze();
 
-  /// True when every posting lives in the packed arena.
-  bool frozen() const { return delta_postings_ == 0; }
+  /// True once Freeze() has run: every posting lives in the packed arena.
+  bool frozen() const { return frozen_; }
 
   int key_length() const { return key_length_; }
   size_t num_keys() const { return entries_.size(); }
@@ -108,7 +96,7 @@ class FlatPostings {
   /// number is deterministic and save/load round-trips preserve it.
   size_t MemoryBytes() const;
 
-  /// Invokes fn(key, view) for every key in ascending key order — the
+  /// Invokes fn(key, postings) for every key in ascending key order — the
   /// deterministic iteration serialization relies on.  Allocates a sort
   /// index (not for use on the probe path).
   template <typename Fn>
@@ -117,30 +105,24 @@ class FlatPostings {
     for (uint32_t i = 0; i < order.size(); ++i) order[i] = i;
     std::sort(order.begin(), order.end(),
               [&](uint32_t a, uint32_t b) { return KeyAt(a) < KeyAt(b); });
-    for (uint32_t e : order) fn(KeyAt(e), ViewOf(entries_[e]));
+    for (uint32_t e : order) fn(KeyAt(e), ListOf(e));
   }
 
  private:
   struct Entry {
     uint64_t fingerprint;
-    uint32_t arena_begin = 0;  // frozen extent within arena_
+    uint32_t arena_begin = 0;  // extent within arena_, once frozen
     uint32_t arena_count = 0;
-    int32_t delta_list = -1;   // index into delta_lists_, -1 when none
   };
 
   std::string_view KeyAt(size_t entry_index) const {
     return {key_arena_.data() + entry_index * static_cast<size_t>(key_length_),
             static_cast<size_t>(key_length_)};
   }
-  ListView ViewOf(const Entry& e) const {
-    ListView view;
-    view.base = {arena_.data() + e.arena_begin, e.arena_count};
-    if (e.delta_list >= 0) {
-      const std::vector<Posting>& d =
-          delta_lists_[static_cast<size_t>(e.delta_list)];
-      view.delta = {d.data(), d.size()};
-    }
-    return view;
+  std::span<const Posting> ListOf(size_t entry_index) const {
+    if (!frozen_) return building_[entry_index];
+    const Entry& e = entries_[entry_index];
+    return {arena_.data() + e.arena_begin, e.arena_count};
   }
   void Rehash(size_t slot_count);
 
@@ -149,10 +131,10 @@ class FlatPostings {
   std::vector<Entry> entries_;
   std::vector<char> key_arena_;    // entry i's key at [i*key_length, ...)
   std::vector<uint32_t> slots_;    // open addressing; entry index + 1, 0 empty
+  std::vector<std::vector<Posting>> building_;  // per entry, until Freeze
   std::vector<Posting> arena_;     // frozen postings, grouped by key
-  std::vector<std::vector<Posting>> delta_lists_;
   int64_t num_postings_ = 0;
-  int64_t delta_postings_ = 0;
+  bool frozen_ = false;
 };
 
 }  // namespace ujoin

@@ -66,6 +66,9 @@ Status LengthBucketIndex::Insert(uint32_t id, const UncertainString& s,
                                    " does not match bucket length " +
                                    std::to_string(length_));
   }
+  if (frozen_) {
+    return Status::FailedPrecondition("cannot insert into a frozen index");
+  }
   if (!ids_.empty() && ids_.back() >= id) {
     return Status::FailedPrecondition(
         "ids must be inserted in increasing order to keep lists sorted");
@@ -89,6 +92,7 @@ Status LengthBucketIndex::Insert(uint32_t id, const UncertainString& s,
 
 void LengthBucketIndex::Freeze() {
   for (FlatPostings& list : lists_) list.Freeze();
+  frozen_ = true;
 }
 
 std::span<const IndexCandidate> LengthBucketIndex::QueryCandidates(
@@ -115,9 +119,9 @@ std::span<const IndexCandidate> LengthBucketIndex::QueryCandidates(
     return ws->candidates;
   }
 
-  // Lookups: per segment, a cursor over each id-sorted posting extent of
-  // each probe substring (frozen arena + delta list, weighted by the
-  // substring's occurrence probability), in probe order.
+  // Lookups: per segment, a cursor over the id-sorted posting list of each
+  // probe substring (weighted by the substring's occurrence probability),
+  // in probe order; a list whose first id is past `id_limit` is absent.
   // Count pass: every posting and wildcard id < id_limit is visited once;
   // the id's mark counts it at most once per segment (the stamp dedupes ids
   // listed by several probe substrings of one segment).  Ids whose count
@@ -192,25 +196,20 @@ std::span<const IndexCandidate> LengthBucketIndex::QueryCandidates(
       const size_t first_cursor = ws->cursors.size();
       for (size_t i = 0; i < entries.size(); ++i) {
         const FlatProbeSets::Entry& probe = entries[i];
-        const FlatPostings::ListView list =
+        const std::span<const Posting> list =
             batched ? seg_lists.FindWithFingerprint(ws->probe_fps[i],
                                                     probes.text(probe))
                     : seg_lists.Find(probes.text(probe));
-        if (list.empty()) continue;
-        for (const std::span<const Posting> extent : {list.base, list.delta}) {
-          if (extent.empty()) continue;
-          simd::PrefetchRead(extent.data());
-          ws->cursors.push_back(Cursor{extent.data(),
-                                       extent.data() + extent.size(),
-                                       probe.prob});
-        }
+        if (list.empty() || list.front().id >= id_limit) continue;
+        ws->cursors.push_back(
+            Cursor{list.data(), list.data() + list.size(), probe.prob});
         if (stats != nullptr) ++stats->lists_scanned;
       }
       if (timed) kernel_timer.Reset();
       int64_t postings = 0;
       for (size_t ci = first_cursor; ci < ws->cursors.size(); ++ci) {
         const Cursor& c = ws->cursors[ci];
-        // Extents are id-sorted: stop at the first out-of-range id.
+        // Lists are id-sorted: stop at the first out-of-range id.
         const Posting* p = c.pos;
         for (; p != c.end && p->id < id_limit; ++p) count(p->id);
         postings += p - c.pos;
@@ -344,12 +343,12 @@ void LengthBucketIndex::Serialize(BinaryWriter* writer) const {
     // Keys in ascending order: serialized bytes are a pure function of the
     // indexed content, independent of insertion order and hash layout.
     lists_[x].ForEachSorted(
-        [&](std::string_view key, FlatPostings::ListView postings) {
+        [&](std::string_view key, std::span<const Posting> postings) {
           writer->WriteString(key);
           writer->WriteU64(postings.size());
-          for (size_t p = 0; p < postings.size(); ++p) {
-            writer->WriteU32(postings[p].id);
-            writer->WriteDouble(postings[p].prob);
+          for (const Posting& posting : postings) {
+            writer->WriteU32(posting.id);
+            writer->WriteDouble(posting.prob);
           }
         });
     writer->WriteU64(wildcard_ids_[x].size());
@@ -447,6 +446,9 @@ Status InvertedSegmentIndex::Insert(uint32_t id, const UncertainString& s) {
   if (s.empty()) {
     return Status::InvalidArgument("cannot index an empty string");
   }
+  if (frozen_) {
+    return Status::FailedPrecondition("cannot insert into a frozen index");
+  }
   auto it = buckets_.find(s.length());
   if (it == buckets_.end()) {
     it = buckets_.emplace(s.length(), LengthBucketIndex(s.length(), k_, q_))
@@ -457,6 +459,7 @@ Status InvertedSegmentIndex::Insert(uint32_t id, const UncertainString& s) {
 
 void InvertedSegmentIndex::Freeze() {
   for (auto& [length, bucket] : buckets_) bucket.Freeze();
+  frozen_ = true;
 }
 
 std::span<const IndexCandidate> InvertedSegmentIndex::Query(

@@ -121,7 +121,7 @@ struct QueryWorkspace {
 /// lists are sorted by id (ids must be inserted in increasing order, which
 /// the self-join driver guarantees by visiting strings in length order).
 /// Lists live in per-segment FlatPostings (arena + fingerprint hash); see
-/// flat_postings.h for the freeze/delta layout and DESIGN.md for the
+/// flat_postings.h for the build/freeze states and DESIGN.md for the
 /// layout's rationale.
 class LengthBucketIndex {
  public:
@@ -130,6 +130,7 @@ class LengthBucketIndex {
   /// Indexes string `id`.  Segments whose instance count exceeds
   /// `max_instances_per_segment` are recorded as wildcards: they count as
   /// matched with α = 1 during queries, which keeps pruning conservative.
+  /// Fails with FailedPrecondition after Freeze().
   Status Insert(uint32_t id, const UncertainString& s,
                 int64_t max_instances_per_segment = 1 << 14);
 
@@ -143,14 +144,14 @@ class LengthBucketIndex {
   }
 
   /// Posting list for instance `w` of segment `x`; empty when absent.
-  /// Allocation-free; the view stays valid until the next Insert/Freeze.
-  FlatPostings::ListView Find(int x, std::string_view w) const {
+  /// Allocation-free; the span stays valid until the next Insert/Freeze.
+  std::span<const Posting> Find(int x, std::string_view w) const {
     return lists_[static_cast<size_t>(x)].Find(w);
   }
 
   /// Packs every segment's postings into its contiguous arena (see
-  /// FlatPostings::Freeze).  Queries work before and after freezing;
-  /// read-mostly users (the searcher) freeze once after the build.
+  /// FlatPostings::Freeze); no Insert may follow.  Queries work before and
+  /// after freezing; the drivers freeze once after the build.
   void Freeze();
 
   /// Generates candidates with Lemma 5 and Theorem 2.  A count pass visits
@@ -161,10 +162,11 @@ class LengthBucketIndex {
   /// A wildcard segment of `probes` (probe set that could not be built due
   /// to instance blow-up) counts as matched with α = 1 for every id.
   ///
-  /// Only indexed ids < `id_limit` are considered; higher ids are skipped
-  /// before any counter is touched, so results and stats are exactly those
-  /// of an index that stops at `id_limit`.  The wave-parallel self-join uses
-  /// this to probe an index that already contains the probe's own wave.
+  /// Only indexed ids < `id_limit` are considered; higher ids, and lists
+  /// holding nothing but higher ids, are skipped before any counter is
+  /// touched, so results and stats are exactly those of an index that stops
+  /// at `id_limit`.  The self-join uses this to probe the index of the whole
+  /// collection as the prefix of strings visited before the probe.
   ///
   /// The returned span points into `workspace->candidates` and is valid
   /// until the workspace's next use.  Thread safety: const and safe to call
@@ -204,6 +206,7 @@ class LengthBucketIndex {
   std::vector<FlatPostings> lists_;                   // one per segment x
   std::vector<std::vector<uint32_t>> wildcard_ids_;   // per segment, sorted
   std::vector<uint32_t> ids_;                         // all indexed ids
+  bool frozen_ = false;
 };
 
 /// \brief The full index: one LengthBucketIndex per string length, plus the
@@ -212,8 +215,9 @@ class LengthBucketIndex {
 /// Usage in a join: strings are visited in ascending length order; for the
 /// current string R the buckets of length |R|-k .. |R| are queried, then R
 /// is inserted into its own bucket, so every pair is enumerated exactly
-/// once.  The wave-parallel driver instead inserts a whole wave up front and
-/// restricts each probe with `id_limit`, which yields the same pair set.
+/// once.  The self-join driver instead indexes the whole collection up front
+/// and restricts each probe with `id_limit`, which yields the same pair set
+/// and the same query counters.
 ///
 /// Thread safety: the query path (Query, bucket, MemoryUsage, Serialize) is
 /// const and touches no mutable state, so any number of threads may query
@@ -226,11 +230,12 @@ class InvertedSegmentIndex {
 
   /// Indexes `s` under `id`; ids must be inserted in increasing order.
   /// Not thread-safe: must never run concurrently with Query or Insert.
+  /// Fails with FailedPrecondition after Freeze().
   Status Insert(uint32_t id, const UncertainString& s);
 
   /// Packs every bucket's postings into contiguous arenas.  Call once after
-  /// the last Insert when the index will be probed many times (the searcher
-  /// does); the incremental self-join skips this and probes delta lists.
+  /// the last Insert, before the index is probed (the searcher and the
+  /// self-join both do); no Insert may follow.
   void Freeze();
 
   /// Candidates among indexed strings of length `length` for probe string
@@ -298,6 +303,7 @@ class InvertedSegmentIndex {
   int q_;
   ProbeSetOptions probe_options_;
   std::map<int, LengthBucketIndex> buckets_;
+  bool frozen_ = false;
 };
 
 }  // namespace ujoin

@@ -46,7 +46,8 @@ inline Status ValidateString(const UncertainString& s, const Alphabet& alphabet,
 /// are filtered, and the sinks the run reports into.
 struct CascadeProbe {
   const UncertainString& r;
-  /// R's frequency summary; null when the frequency filter is off.
+  /// R's frequency summary; may be null when the frequency filter is off or
+  /// `candidates` is empty.
   const FrequencySummary* r_summary;
   /// Effective options (SearchTopK forces exact verification).
   const JoinOptions& options;
@@ -68,7 +69,7 @@ struct CascadeProbe {
 };
 
 /// \brief The per-candidate filter cascade of QFCT (DESIGN.md "Parallel
-/// self-join" phase 3): frequency filter (Section 5), CDF bounds (Section
+/// self-join"): frequency filter (Section 5), CDF bounds (Section
 /// 6.1), the per-query limit fallback, then trie verification (Section
 /// 6.2), shared by the self-join probe and SimilaritySearcher.
 ///

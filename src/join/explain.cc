@@ -41,10 +41,7 @@ Result<ExplainResult> SimilaritySearcher::Explain(
   return result;
 }
 
-namespace {
-
-void AppendOptions(const JoinOptions& options, obs::JsonWriter* w) {
-  w->BeginObject();
+void AppendOptionsFields(const JoinOptions& options, obs::JsonWriter* w) {
   w->Key("k");
   w->Int(options.k);
   w->Key("tau");
@@ -69,8 +66,9 @@ void AppendOptions(const JoinOptions& options, obs::JsonWriter* w) {
                 : options.verify_method == VerifyMethod::kCompressedTrie
                       ? "compressed_trie"
                       : "naive");
-  w->EndObject();
 }
+
+namespace {
 
 void AppendProbe(const ExplainProbe& probe, obs::JsonWriter* w) {
   w->BeginObject();
@@ -166,7 +164,9 @@ std::string RenderExplainJson(const SimilaritySearcher& searcher,
   w.Int(query.WorldCount());
   w.EndObject();
   w.Key("options");
-  AppendOptions(searcher.options(), &w);
+  w.BeginObject();
+  AppendOptionsFields(searcher.options(), &w);
+  w.EndObject();
   w.Key("limits");
   w.BeginObject();
   w.Key("max_verify_worlds");

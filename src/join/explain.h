@@ -12,6 +12,10 @@
 
 namespace ujoin {
 
+namespace obs {
+class JsonWriter;
+}  // namespace obs
+
 // ---------------------------------------------------------------------------
 // Explain replay (DESIGN.md "Per-query diagnostics")
 //
@@ -101,6 +105,12 @@ std::string RenderExplainJson(const SimilaritySearcher& searcher,
                               const UncertainString& query,
                               const ExplainResult& result,
                               const SearchLimits& limits, bool include_timing);
+
+/// Writes the result-shaping JoinOptions (k, tau, q, the filter toggles and
+/// the verification mode) as keys of the JSON object open in `w`, in a fixed
+/// order: the "options" section of both the explain envelope and the CLI run
+/// report.
+void AppendOptionsFields(const JoinOptions& options, obs::JsonWriter* w);
 
 /// Renders a human-readable multi-line narrative of the same replay (for
 /// stderr; the JSON envelope is the machine artifact).

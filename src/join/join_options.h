@@ -107,22 +107,11 @@ struct JoinOptions {
   /// are a property of the serving policy, not of the index.
   SearchLimits limits;
 
-  /// Worker threads for the parallel drivers: the wave-batched
-  /// SimilaritySelfJoin, the two-collection SimilarityJoin, and
-  /// SimilaritySearcher::SearchMany.  <= 0 picks the hardware concurrency.
-  /// All drivers return identical results for every thread count.
+  /// Worker threads for the parallel drivers: SimilaritySelfJoin, the
+  /// two-collection SimilarityJoin, and SimilaritySearcher::SearchMany.
+  /// <= 0 picks the hardware concurrency.  All drivers return identical
+  /// results for every thread count.
   int threads = 1;
-
-  /// Wave size of the parallel self-join: the length-sorted scan is cut
-  /// into waves of this many strings; a wave is inserted into the inverted
-  /// index sequentially, then all of its strings probe the frozen index
-  /// concurrently (each probe only sees ids smaller than its own, so every
-  /// unordered pair is examined exactly once, on its higher-id side).
-  /// Larger waves expose more parallelism; smaller waves keep the probe
-  /// window closer to the paper's insert-after-every-string scan.  The
-  /// result set is identical for every wave size.  <= 0 picks an adaptive
-  /// default (max(64, 8 × threads)).
-  int wave_size = 0;
 
   // --- observability (src/obs/; DESIGN.md "Observability") --------------
   // All sinks are borrowed, never owned: they must outlive every join or

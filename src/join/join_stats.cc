@@ -10,8 +10,6 @@ namespace ujoin {
 void JoinStats::Merge(const JoinStats& other) {
   length_compatible_pairs += other.length_compatible_pairs;
   qgram_candidates += other.qgram_candidates;
-  qgram_support_pruned += other.qgram_support_pruned;
-  qgram_probability_pruned += other.qgram_probability_pruned;
   freq_candidates += other.freq_candidates;
   freq_lower_pruned += other.freq_lower_pruned;
   freq_upper_pruned += other.freq_upper_pruned;
@@ -39,8 +37,8 @@ std::string JoinStats::ToString() const {
   char buf[1024];
   std::snprintf(
       buf, sizeof(buf),
-      "pairs: length-compatible=%lld qgram=%lld (support-pruned=%lld, "
-      "prob-pruned=%lld) freq=%lld (fd-pruned=%lld, cheb-pruned=%lld)\n"
+      "pairs: length-compatible=%lld qgram=%lld freq=%lld (fd-pruned=%lld, "
+      "cheb-pruned=%lld)\n"
       "cdf: accepted=%lld rejected=%lld undecided=%lld | verified=%lld "
       "results=%lld (budget-fallbacks=%lld, deadline-fallbacks=%lld)\n"
       "time[s]: qgram=%.4f freq=%.4f cdf=%.4f verify=%.4f total=%.4f\n"
@@ -48,8 +46,6 @@ std::string JoinStats::ToString() const {
       "index: peak-memory=%zu bytes",
       static_cast<long long>(length_compatible_pairs),
       static_cast<long long>(qgram_candidates),
-      static_cast<long long>(qgram_support_pruned),
-      static_cast<long long>(qgram_probability_pruned),
       static_cast<long long>(freq_candidates),
       static_cast<long long>(freq_lower_pruned),
       static_cast<long long>(freq_upper_pruned),
@@ -77,10 +73,6 @@ std::string JoinStats::ToJson() const {
   w.Int(length_compatible_pairs);
   w.Key("qgram_candidates");
   w.Int(qgram_candidates);
-  w.Key("qgram_support_pruned");
-  w.Int(qgram_support_pruned);
-  w.Key("qgram_probability_pruned");
-  w.Int(qgram_probability_pruned);
   w.Key("freq_candidates");
   w.Int(freq_candidates);
   w.Key("freq_lower_pruned");

@@ -20,8 +20,6 @@ struct JoinStats {
   int64_t length_compatible_pairs = 0;
   /// Pairs surviving the q-gram stage (equals the input when disabled).
   int64_t qgram_candidates = 0;
-  int64_t qgram_support_pruned = 0;      ///< by Lemma 5's count condition
-  int64_t qgram_probability_pruned = 0;  ///< by Theorem 2's bound
   /// Pairs surviving the frequency-distance stage.
   int64_t freq_candidates = 0;
   int64_t freq_lower_pruned = 0;  ///< by Lemma 6 (fd lower bound > k)
@@ -83,7 +81,7 @@ struct JoinStats {
 };
 
 /// Version of the JSON object emitted by JoinStats::ToJson.
-inline constexpr int kJoinStatsSchemaVersion = 1;
+inline constexpr int kJoinStatsSchemaVersion = 2;
 
 }  // namespace ujoin
 

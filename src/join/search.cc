@@ -125,11 +125,6 @@ Result<std::vector<SearchHit>> SimilaritySearcher::SearchImpl(
   int64_t qgram_ns = 0;
   int64_t freq_ns = 0;
 
-  std::optional<FrequencySummary> query_summary;
-  if (options_.use_freq_filter) {
-    ScopedNanoTimer timer(&freq_ns);
-    query_summary.emplace(FrequencySummary::Build(query, alphabet_));
-  }
   JoinOptions effective_options = options_;
   if (force_exact) {
     effective_options.always_verify = true;
@@ -218,6 +213,13 @@ Result<std::vector<SearchHit>> SimilaritySearcher::SearchImpl(
   UJOIN_OBS_FLIGHT_EVENT(obs::FlightEvent::kFunnelStage,
                          static_cast<int64_t>(obs::FunnelStage::kQgram),
                          static_cast<int64_t>(candidates.size()));
+
+  // The query's frequency summary is only read against candidates.
+  std::optional<FrequencySummary> query_summary;
+  if (options_.use_freq_filter && !candidates.empty()) {
+    ScopedNanoTimer timer(&freq_ns);
+    query_summary.emplace(FrequencySummary::Build(query, alphabet_));
+  }
 
   std::vector<SearchHit> hits;
   UJOIN_RETURN_IF_ERROR(internal::RunCandidateCascade(

@@ -53,14 +53,15 @@ struct ProbeOutcome {
 
 }  // namespace
 
-// Wave-parallel driver.  The length-sorted scan is cut into waves; each wave
-// is first inserted into the inverted index sequentially, then every string
-// of the wave probes the now-frozen index concurrently.  A probe at position
-// i passes id_limit = i to the index so it only sees strings of smaller
-// position — exactly the prefix the paper's insert-after-every-string scan
-// would have indexed — which keeps results, filter decisions, and pair-flow
-// counters identical to the sequential semantics for every wave size and
-// thread count (see DESIGN.md, "Parallel self-join").
+// Parallel driver.  The whole collection is indexed once, in visiting
+// order, and frozen; the frequency summaries are built in one parallel
+// pass.  The length-sorted scan is then cut into waves — blocks of probes
+// that run concurrently against the frozen index and fold in rank order.
+// A probe at position i passes id_limit = i to the index so it only sees
+// strings of smaller position — exactly the prefix the paper's
+// insert-after-every-string scan would have indexed — which keeps results,
+// filter decisions, and index counters identical to the sequential
+// semantics for every thread count (see DESIGN.md, "Parallel self-join").
 Result<SelfJoinResult> SimilaritySelfJoin(
     const std::vector<UncertainString>& collection, const Alphabet& alphabet,
     const JoinOptions& options) {
@@ -83,14 +84,54 @@ Result<SelfJoinResult> SimilaritySelfJoin(
   }
 
   const int threads = internal::ResolveThreads(options.threads, n);
-  const uint32_t wave_size =
-      options.wave_size > 0
-          ? static_cast<uint32_t>(options.wave_size)
-          : static_cast<uint32_t>(std::max(64, 8 * threads));
+  // Waves only set the fold and progress granularity: every probe sees the
+  // same index prefix whatever the wave boundaries.
+  const uint32_t wave_size = static_cast<uint32_t>(std::max(64, 8 * threads));
 
+  // Observability sinks (both null unless the caller opted in).  Each rank
+  // records into its own Recorder / SpanCollector; the driver folds them in
+  // (wave, rank) order below, mirroring JoinStats::Merge, so merged metric
+  // counters and work-derived histograms are identical for every thread
+  // count (timing-valued histograms vary run to run by nature).
+  obs::Recorder* const run_metrics = options.metrics;
+  obs::TraceRecorder* const trace = options.trace;
+
+  // ---- build (sequential): index every string, then freeze -------------
+  // The probes below only use the frozen index's const query path.
   InvertedSegmentIndex index(options.k, options.q, options.probe);
+  if (options.use_qgram_filter) {
+    const int64_t span_start = trace != nullptr ? trace->NowNs() : 0;
+    ScopedTimer timer(&stats.index_build_time);
+    for (uint32_t i = 0; i < n; ++i) {
+      UJOIN_RETURN_IF_ERROR(index.Insert(i, collection[order[i]]));
+    }
+    index.Freeze();
+    timer.StopAndGet();
+    if (trace != nullptr) {
+      trace->AddSpan("index_insert", span_start, trace->NowNs() - span_start,
+                     /*tid=*/0);
+    }
+  }
+  stats.peak_index_memory = index.MemoryUsage();
+
+  // ---- build (parallel): every frequency summary -------------------------
   std::vector<FrequencySummary> freq_summaries(
       options.use_freq_filter ? n : 0);
+  if (options.use_freq_filter) {
+    const int64_t span_start = trace != nullptr ? trace->NowNs() : 0;
+    std::vector<double> freq_times(static_cast<size_t>(threads), 0.0);
+    internal::ParallelFor(threads, n, [&](int worker, size_t i) {
+      ScopedTimer timer(&freq_times[static_cast<size_t>(worker)]);
+      freq_summaries[i] =
+          FrequencySummary::Build(collection[order[i]], alphabet);
+    });
+    for (const double t : freq_times) stats.freq_time += t;
+    if (trace != nullptr) {
+      trace->AddSpan("freq_summaries", span_start,
+                     trace->NowNs() - span_start, /*tid=*/0);
+    }
+  }
+
   // One query workspace per pool worker, reused across waves: once warm,
   // the whole candidate-generation stage runs without heap allocation.
   std::vector<QueryWorkspace> workspaces(
@@ -101,66 +142,22 @@ Result<SelfJoinResult> SimilaritySelfJoin(
   const double qgram_tau =
       options.qgram_probabilistic_pruning ? options.tau : 0.0;
 
-  // Observability sinks (both null unless the caller opted in).  Each rank
-  // records into its own Recorder / SpanCollector; the driver folds them in
-  // (wave, rank) order below, mirroring JoinStats::Merge, so merged metric
-  // counters and work-derived histograms are identical for every thread
-  // count (timing-valued histograms vary run to run by nature).
-  obs::Recorder* const run_metrics = options.metrics;
-  obs::TraceRecorder* const trace = options.trace;
   std::vector<obs::Recorder> rank_metrics;
 
   for (uint32_t wave_start = 0; wave_start < n; wave_start += wave_size) {
     const uint32_t wave_end = static_cast<uint32_t>(
         std::min<uint64_t>(n, static_cast<uint64_t>(wave_start) + wave_size));
     const uint32_t wave_count = wave_end - wave_start;
-    const int64_t wave_index =
-        static_cast<int64_t>(wave_start / std::max<uint32_t>(wave_size, 1));
+    const int64_t wave_index = static_cast<int64_t>(wave_start / wave_size);
     UJOIN_OBS_FLIGHT_EVENT(obs::FlightEvent::kWaveStart, wave_index,
                            wave_count);
-
-    // ---- phase 1 (sequential): make the wave visible to its own probes ---
-    // After this the index is frozen until the next wave: the concurrent
-    // probe phases below only use its const query path.
-    if (options.use_qgram_filter) {
-      const int64_t span_start = trace != nullptr ? trace->NowNs() : 0;
-      ScopedTimer timer(&stats.index_build_time);
-      for (uint32_t i = wave_start; i < wave_end; ++i) {
-        UJOIN_RETURN_IF_ERROR(index.Insert(i, collection[order[i]]));
-      }
-      timer.StopAndGet();
-      if (trace != nullptr) {
-        trace->AddSpan("index_insert", span_start, trace->NowNs() - span_start,
-                       /*tid=*/0);
-      }
-    }
-    stats.peak_index_memory =
-        std::max(stats.peak_index_memory, index.MemoryUsage());
 
     std::vector<ProbeOutcome> outcomes(wave_count);
     if (run_metrics != nullptr) {
       rank_metrics.assign(wave_count, obs::Recorder());
     }
 
-    // ---- phase 2 (parallel): frequency summaries for the wave -----------
-    // Probes read summaries of every smaller position, including same-wave
-    // ones, so the whole wave's summaries must exist before phase 3.
-    if (options.use_freq_filter) {
-      const int64_t span_start = trace != nullptr ? trace->NowNs() : 0;
-      internal::ParallelFor(threads, wave_count, [&](int /*worker*/,
-                                                     size_t rank) {
-        ScopedTimer timer(&outcomes[rank].stats.freq_time);
-        freq_summaries[wave_start + rank] =
-            FrequencySummary::Build(collection[order[wave_start + rank]],
-                                    alphabet);
-      });
-      if (trace != nullptr) {
-        trace->AddSpan("freq_summaries", span_start,
-                       trace->NowNs() - span_start, /*tid=*/0);
-      }
-    }
-
-    // ---- phase 3 (parallel): probe the frozen index ----------------------
+    // ---- probe (parallel) -------------------------------------------------
     const int64_t probe_phase_start = trace != nullptr ? trace->NowNs() : 0;
     internal::ParallelFor(threads, wave_count, [&](int worker, size_t rank) {
       QueryWorkspace& workspace = workspaces[static_cast<size_t>(worker)];
@@ -262,7 +259,7 @@ Result<SelfJoinResult> SimilaritySelfJoin(
                      trace->NowNs() - probe_phase_start, /*tid=*/0);
     }
 
-    // ---- phase 4 (sequential): merge in rank order -----------------------
+    // ---- fold (sequential): merge in rank order ---------------------------
     const int64_t merge_span_start = trace != nullptr ? trace->NowNs() : 0;
     for (uint32_t rank = 0; rank < wave_count; ++rank) {
       ProbeOutcome& outcome = outcomes[rank];

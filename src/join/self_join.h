@@ -50,14 +50,14 @@ struct SelfJoinResult {
 /// Filter stages toggle via JoinOptions to form the QFCT/QCT/QFT/FCT
 /// variants of Section 7.
 ///
-/// The scan is wave-parallel: the length-sorted order is cut into waves of
-/// JoinOptions::wave_size strings; a wave is inserted into the index
-/// sequentially, then all of its strings run the probe pipeline concurrently
-/// on JoinOptions::threads workers against the frozen index, each seeing
-/// only strings of smaller visiting position.  Results, filter decisions,
-/// and pair-flow counters are identical to the paper's sequential scan for
-/// every wave size and thread count (per-worker buffers are merged in
-/// deterministic (wave, rank) order; see DESIGN.md, "Parallel self-join").
+/// The scan is parallel: the whole collection is indexed once and frozen,
+/// then the strings run the probe pipeline concurrently on
+/// JoinOptions::threads workers, each seeing only strings of smaller
+/// visiting position.  Results, filter decisions, and index counters are
+/// identical to the paper's sequential scan for every thread count
+/// (per-worker buffers are merged in deterministic (wave, rank) order, a
+/// wave being a block of max(64, 8 × threads) probes; see DESIGN.md,
+/// "Parallel self-join").
 ///
 /// Fails with InvalidArgument when a string is empty or uses symbols
 /// outside `alphabet`.

@@ -139,9 +139,11 @@ UncertainString::Builder& UncertainString::Builder::AddUncertain(
   double sum = 0.0;
   for (size_t j = 0; j < alternatives.size(); ++j) {
     // Negated tests, so a NaN probability fails them too.
-    if (!(alternatives[j].prob > 0.0)) {
+    const double prob = alternatives[j].prob;
+    if (!(prob > 0.0)) {
       deferred_error_ = Status::InvalidArgument(
-          "non-positive probability at position " + std::to_string(position));
+          std::string(std::isnan(prob) ? "NaN" : "non-positive") +
+          " probability at position " + std::to_string(position));
       return *this;
     }
     if (j > 0 && alternatives[j].symbol == alternatives[j - 1].symbol) {

@@ -1,6 +1,7 @@
 #include "index/flat_postings.h"
 
 #include <algorithm>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -17,10 +18,8 @@ uint64_t ConstantFingerprint(const void* /*data*/, size_t /*len*/) {
   return 0x1234;
 }
 
-std::vector<Posting> Materialize(FlatPostings::ListView view) {
-  std::vector<Posting> out;
-  for (size_t i = 0; i < view.size(); ++i) out.push_back(view[i]);
-  return out;
+std::vector<Posting> Materialize(std::span<const Posting> list) {
+  return std::vector<Posting>(list.begin(), list.end());
 }
 
 TEST(FlatPostingsTest, AddAndFindBeforeFreeze) {
@@ -29,7 +28,7 @@ TEST(FlatPostingsTest, AddAndFindBeforeFreeze) {
   lists.Add("CD", Posting{1, 0.5});
   lists.Add("AB", Posting{3, 0.25});
 
-  const FlatPostings::ListView ab = lists.Find("AB");
+  const std::span<const Posting> ab = lists.Find("AB");
   ASSERT_EQ(ab.size(), 2u);
   EXPECT_EQ(ab[0].id, 1u);
   EXPECT_DOUBLE_EQ(ab[0].prob, 0.5);
@@ -58,26 +57,20 @@ TEST(FlatPostingsTest, FreezePreservesListsAndOrder) {
   lists.Freeze();
   EXPECT_TRUE(lists.frozen());
 
-  const FlatPostings::ListView bb = lists.Find("BB");
+  const std::span<const Posting> bb = lists.Find("BB");
   ASSERT_EQ(bb.size(), 2u);
-  EXPECT_TRUE(bb.delta.empty());  // everything packed into the arena
   EXPECT_EQ(bb[0].id, 0u);
+  EXPECT_DOUBLE_EQ(bb[0].prob, 0.1);
   EXPECT_EQ(bb[1].id, 2u);
+  EXPECT_DOUBLE_EQ(bb[1].prob, 0.3);
+  ASSERT_EQ(lists.Find("AA").size(), 1u);
+  EXPECT_EQ(lists.Find("AA")[0].id, 1u);
+  EXPECT_TRUE(lists.Find("CC").empty());
 
-  // Adds after the freeze land in the delta extent, after the arena extent.
-  lists.Add("BB", Posting{5, 0.4});
-  const FlatPostings::ListView grown = lists.Find("BB");
-  ASSERT_EQ(grown.size(), 3u);
-  EXPECT_EQ(grown.base.size(), 2u);
-  EXPECT_EQ(grown.delta.size(), 1u);
-  EXPECT_EQ(grown[2].id, 5u);
-
-  // Re-freezing merges base and delta back into one extent.
+  // Freezing again is a no-op.
   lists.Freeze();
-  const FlatPostings::ListView refrozen = lists.Find("BB");
-  EXPECT_EQ(refrozen.base.size(), 3u);
-  EXPECT_TRUE(refrozen.delta.empty());
-  EXPECT_EQ(lists.num_postings(), 4);
+  EXPECT_EQ(Materialize(lists.Find("BB")).size(), 2u);
+  EXPECT_EQ(lists.num_postings(), 3);
 }
 
 TEST(FlatPostingsTest, ForEachSortedVisitsKeysInAscendingOrder) {
@@ -86,10 +79,11 @@ TEST(FlatPostingsTest, ForEachSortedVisitsKeysInAscendingOrder) {
     lists.Add(key, Posting{0, 1.0});
   }
   std::vector<std::string> seen;
-  lists.ForEachSorted([&](std::string_view key, FlatPostings::ListView view) {
-    seen.emplace_back(key);
-    EXPECT_EQ(view.size(), 1u);
-  });
+  lists.ForEachSorted(
+      [&](std::string_view key, std::span<const Posting> postings) {
+        seen.emplace_back(key);
+        EXPECT_EQ(postings.size(), 1u);
+      });
   std::vector<std::string> sorted = seen;
   std::sort(sorted.begin(), sorted.end());
   EXPECT_EQ(seen, sorted);
@@ -112,18 +106,18 @@ TEST(FlatPostingsTest, ForcedFingerprintCollisionsStillResolve) {
   }
   EXPECT_EQ(lists.num_keys(), keys.size());
   for (uint32_t id = 0; id < keys.size(); ++id) {
-    const FlatPostings::ListView view = lists.Find(keys[id]);
-    ASSERT_EQ(view.size(), 1u) << keys[id];
-    EXPECT_EQ(view[0].id, id);
+    const std::span<const Posting> list = lists.Find(keys[id]);
+    ASSERT_EQ(list.size(), 1u) << keys[id];
+    EXPECT_EQ(list[0].id, id);
   }
   EXPECT_TRUE(lists.Find("zzz").empty());
 
   // Freeze must keep every colliding key addressable.
   lists.Freeze();
   for (uint32_t id = 0; id < keys.size(); ++id) {
-    const FlatPostings::ListView view = lists.Find(keys[id]);
-    ASSERT_EQ(view.size(), 1u);
-    EXPECT_EQ(view[0].id, id);
+    const std::span<const Posting> list = lists.Find(keys[id]);
+    ASSERT_EQ(list.size(), 1u);
+    EXPECT_EQ(list[0].id, id);
   }
 }
 

@@ -130,30 +130,22 @@ TEST(FrozenIndexTest, SteadyStateQueryDoesNotAllocate) {
       << "steady-state Query must not allocate; got " << allocations
       << " allocations";
 
-  // Same property for the self-join's probe shape: an unfrozen index (all
-  // postings in delta extents) queried with an id_limit, through a
-  // workspace whose id marks were sized by that limit.
-  InvertedSegmentIndex unfrozen(k, q);
-  for (uint32_t id = 0; id < 60; ++id) {
-    ASSERT_TRUE(unfrozen
-                    .Insert(id, testing::RandomUncertainString(dna, opt, rng))
-                    .ok());
-  }
+  // Same property for the self-join's probe shape: the frozen index queried
+  // with an id_limit, through a workspace whose id marks were sized by that
+  // limit.
   QueryWorkspace self_join_ws;
   const uint32_t id_limit = 45;
   const size_t limited_size =
-      unfrozen.Query(r, length, 0.01, &self_join_ws, &stats, id_limit).size();
+      index.Query(r, length, 0.01, &self_join_ws, &stats, id_limit).size();
   {
     CountAllocations counter;
     counted_size =
-        unfrozen.Query(r, length, 0.01, &self_join_ws, &stats, id_limit)
-            .size();
+        index.Query(r, length, 0.01, &self_join_ws, &stats, id_limit).size();
     allocations = counter.count();
   }
   EXPECT_EQ(counted_size, limited_size);
   EXPECT_EQ(allocations, 0u)
-      << "steady-state Query with an id_limit on an unfrozen index must not "
-         "allocate; got "
+      << "steady-state Query with an id_limit must not allocate; got "
       << allocations << " allocations";
 
   // Same property with metrics recording on: the obs::Recorder is a flat

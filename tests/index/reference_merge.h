@@ -167,15 +167,13 @@ inline ReferenceMergeResult ReferenceQueryCandidates(
     } else {
       std::vector<Cursor> cursors;
       for (const FlatProbeSets::Entry& probe : probes.segment_entries(x)) {
-        const FlatPostings::ListView list = bucket.Find(x, probes.text(probe));
-        if (list.empty()) continue;
-        for (const std::span<const Posting> extent : {list.base, list.delta}) {
-          if (!extent.empty()) {
-            cursors.push_back(Cursor{extent.data(),
-                                     extent.data() + extent.size(),
-                                     probe.prob});
-          }
-        }
+        const std::span<const Posting> list =
+            bucket.Find(x, probes.text(probe));
+        // A list holding only ids past the limit does not exist yet in an
+        // index that stops at `id_limit`.
+        if (list.empty() || list.front().id >= id_limit) continue;
+        cursors.push_back(
+            Cursor{list.data(), list.data() + list.size(), probe.prob});
         ++stats.lists_scanned;
       }
       reference_internal::MergeSegment(std::move(cursors),

@@ -28,14 +28,14 @@ TEST(LengthBucketIndexTest, PostingListsHoldInstanceProbabilities) {
                   .Insert(0, Parse("AA{(G,0.9),(T,0.1)}G{(C,0.3),(G,0.2),"
                                    "(T,0.5)}C", dna))
                   .ok());
-  const FlatPostings::ListView aa = bucket.Find(0, "AA");
+  const std::span<const Posting> aa = bucket.Find(0, "AA");
   ASSERT_EQ(aa.size(), 1u);
   EXPECT_EQ(aa[0].id, 0u);
   EXPECT_DOUBLE_EQ(aa[0].prob, 1.0);
-  const FlatPostings::ListView gg = bucket.Find(1, "GG");
+  const std::span<const Posting> gg = bucket.Find(1, "GG");
   ASSERT_FALSE(gg.empty());
   EXPECT_DOUBLE_EQ(gg[0].prob, 0.9);
-  const FlatPostings::ListView tc = bucket.Find(2, "TC");
+  const std::span<const Posting> tc = bucket.Find(2, "TC");
   ASSERT_FALSE(tc.empty());
   EXPECT_DOUBLE_EQ(tc[0].prob, 0.5);
   EXPECT_TRUE(bucket.Find(2, "AC").empty());
@@ -184,6 +184,27 @@ TEST(InvertedSegmentIndexTest, MemoryAccountsAllBuckets) {
   EXPECT_EQ(index.bucket(5), nullptr);
   EXPECT_EQ(index.MemoryUsage(),
             index.bucket(6)->MemoryUsage() + index.bucket(7)->MemoryUsage());
+}
+
+// The index is built, frozen once, then only probed: an insert after the
+// freeze — into an existing bucket or a new one — is refused, and the
+// frozen lists still answer queries.
+TEST(InvertedSegmentIndexTest, InsertAfterFreezeFailsPrecondition) {
+  Alphabet dna = Alphabet::Dna();
+  InvertedSegmentIndex index(1, 2);
+  const UncertainString s = Parse("ACGTAC", dna);
+  ASSERT_TRUE(index.Insert(0, s).ok());
+  const std::vector<IndexCandidate> before = index.Query(s, 6, 0.1);
+  index.Freeze();
+  EXPECT_EQ(index.Insert(1, s).code(), StatusCode::kFailedPrecondition);
+  EXPECT_EQ(index.Insert(2, Parse("ACGTACG", dna)).code(),
+            StatusCode::kFailedPrecondition);
+  EXPECT_EQ(index.bucket(7), nullptr);
+  const std::vector<IndexCandidate> after = index.Query(s, 6, 0.1);
+  ASSERT_EQ(after.size(), before.size());
+  ASSERT_EQ(after.size(), 1u);
+  EXPECT_EQ(after[0].id, 0u);
+  EXPECT_EQ(after[0].upper_bound, before[0].upper_bound);
 }
 
 }  // namespace

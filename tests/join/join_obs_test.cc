@@ -48,7 +48,7 @@ void ExpectIdenticalPairs(const std::vector<JoinPair>& a,
 
 // The work-derived histograms: values depend only on what the pipeline
 // computed, never on the clock, so the merged result must be bit-identical
-// for every thread count (at a fixed wave size).
+// for every thread count.
 const obs::Hist kDeterministicHists[] = {
     obs::Hist::kMergedListLength,
     obs::Hist::kCandidateAlphaPpm,
@@ -74,7 +74,6 @@ TEST(JoinObsTest, InstrumentationDoesNotChangeResults) {
 
   JoinOptions plain = JoinOptions::Qfct(2, 0.1);
   plain.threads = 2;
-  plain.wave_size = 16;
   Result<SelfJoinResult> baseline = SimilaritySelfJoin(strings, alphabet,
                                                        plain);
   ASSERT_TRUE(baseline.ok());
@@ -124,7 +123,6 @@ TEST(JoinObsTest, FunnelAndWorldCountMatchPipelineStats) {
   obs::Recorder recorder;
   JoinOptions options = JoinOptions::Qfct(2, 0.1);
   options.threads = 2;
-  options.wave_size = 16;
   options.metrics = &recorder;
   Result<SelfJoinResult> result = SimilaritySelfJoin(strings, alphabet,
                                                      options);
@@ -173,7 +171,6 @@ TEST(JoinObsTest, FunnelIsBitIdenticalAcrossThreadCounts) {
   for (int threads : {1, 2, 4, 8}) {
     JoinOptions options = JoinOptions::Qfct(2, 0.15);
     options.threads = threads;
-    options.wave_size = 16;
     obs::Recorder recorder;
     options.metrics = &recorder;
     Result<SelfJoinResult> result =
@@ -210,7 +207,6 @@ TEST(JoinObsTest, ProbeSpanSamplingShrinksTracesDeterministically) {
     if (sample_n > 1) trace.SetProbeSampling(sample_n, kSeed);
     JoinOptions options = JoinOptions::Qfct(2, 0.1);
     options.threads = threads;
-    options.wave_size = 16;
     options.trace = &trace;
     Result<SelfJoinResult> result =
         SimilaritySelfJoin(strings, alphabet, options);
@@ -254,7 +250,6 @@ TEST(JoinObsTest, WorkHistogramsAreBitIdenticalAcrossThreadCounts) {
   for (int threads : {1, 2, 4, 8}) {
     JoinOptions options = JoinOptions::Qfct(2, 0.15);
     options.threads = threads;
-    options.wave_size = 16;
     obs::Recorder recorder;
     options.metrics = &recorder;
     Result<SelfJoinResult> result =
@@ -291,7 +286,6 @@ TEST(JoinObsTest, ProgressCallbackSeesMonotoneCompletion) {
   } progress;
   JoinOptions options = JoinOptions::Qfct(2, 0.1);
   options.threads = 2;
-  options.wave_size = 16;
   options.progress_fn = [](const JoinProgress& p, void* user) {
     static_cast<Progress*>(user)->snapshots.push_back(p);
   };

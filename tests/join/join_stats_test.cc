@@ -16,8 +16,6 @@ JoinStats RandomStats(Rng& rng) {
   JoinStats s;
   s.length_compatible_pairs = static_cast<int64_t>(rng.Uniform(1000));
   s.qgram_candidates = static_cast<int64_t>(rng.Uniform(1000));
-  s.qgram_support_pruned = static_cast<int64_t>(rng.Uniform(1000));
-  s.qgram_probability_pruned = static_cast<int64_t>(rng.Uniform(1000));
   s.freq_candidates = static_cast<int64_t>(rng.Uniform(1000));
   s.freq_lower_pruned = static_cast<int64_t>(rng.Uniform(1000));
   s.freq_upper_pruned = static_cast<int64_t>(rng.Uniform(1000));
@@ -90,9 +88,6 @@ TEST(JoinStatsMergeTest, MergingIntoDefaultIsIdentity) {
   merged.Merge(original);
   EXPECT_EQ(merged.length_compatible_pairs, original.length_compatible_pairs);
   EXPECT_EQ(merged.qgram_candidates, original.qgram_candidates);
-  EXPECT_EQ(merged.qgram_support_pruned, original.qgram_support_pruned);
-  EXPECT_EQ(merged.qgram_probability_pruned,
-            original.qgram_probability_pruned);
   EXPECT_EQ(merged.freq_candidates, original.freq_candidates);
   EXPECT_EQ(merged.freq_lower_pruned, original.freq_lower_pruned);
   EXPECT_EQ(merged.freq_upper_pruned, original.freq_upper_pruned);
@@ -149,7 +144,7 @@ TEST(JoinStatsMergeTest, FoldingEqualsFieldwiseSums) {
 
 // Property on the real pipeline: the parallel self-join folds per-probe
 // stats with Merge; its pair-flow counters must equal the sequential
-// (threads = 1, wave = 1) run's counters.
+// (threads = 1) run's counters.
 TEST(JoinStatsMergeTest, MergedThreadLocalStatsEqualSequentialPairFlow) {
   DatasetOptions data;
   data.kind = DatasetOptions::Kind::kNames;
@@ -163,7 +158,6 @@ TEST(JoinStatsMergeTest, MergedThreadLocalStatsEqualSequentialPairFlow) {
 
   JoinOptions sequential_options = JoinOptions::Qfct(2, 0.1);
   sequential_options.threads = 1;
-  sequential_options.wave_size = 1;
   Result<SelfJoinResult> sequential =
       SimilaritySelfJoin(dataset.strings, dataset.alphabet,
                          sequential_options);
@@ -171,7 +165,6 @@ TEST(JoinStatsMergeTest, MergedThreadLocalStatsEqualSequentialPairFlow) {
 
   JoinOptions parallel_options = JoinOptions::Qfct(2, 0.1);
   parallel_options.threads = 4;
-  parallel_options.wave_size = 16;
   Result<SelfJoinResult> parallel = SimilaritySelfJoin(
       dataset.strings, dataset.alphabet, parallel_options);
   ASSERT_TRUE(parallel.ok());

@@ -64,8 +64,7 @@ TEST_P(SelfCrossDifferentialTest, SelfJoinEqualsCrossJoinOnSameCollection) {
 
     JoinOptions options = GetParam().options;
     options.always_verify = true;  // exact probabilities on both paths
-    options.threads = 4;           // exercise the parallel wave driver
-    options.wave_size = 7;         // force several waves per run
+    options.threads = 4;           // exercise the parallel driver
 
     Result<SelfJoinResult> self =
         SimilaritySelfJoin(collection, alphabet, options);

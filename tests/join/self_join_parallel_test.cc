@@ -1,13 +1,17 @@
-// Determinism guarantees of the wave-parallel self-join: the pair list
-// (ids, probabilities, exactness flags) is byte-identical for every thread
-// count and every wave size, and the result-side counters are equal too.
+// Determinism guarantees of the parallel self-join: the pair list (ids,
+// probabilities, exactness flags) is byte-identical for every thread count,
+// and every work counter is equal too — the index counters equal to those
+// of the paper's query-then-insert scan.
 
+#include <algorithm>
 #include <cstdint>
+#include <numeric>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "datagen/datagen.h"
+#include "index/segment_index.h"
 #include "join/self_join.h"
 
 namespace ujoin {
@@ -39,11 +43,19 @@ void ExpectIdenticalPairs(const SelfJoinResult& a, const SelfJoinResult& b,
   }
 }
 
-// Pair-flow counters (everything except wall times and raw index scan work,
-// which legitimately varies with the wave size).  These must be equal to the
-// sequential semantics for every (threads, wave_size) configuration.
-void ExpectEqualPairFlow(const JoinStats& a, const JoinStats& b,
-                         const std::string& label) {
+void ExpectEqualIndexStats(const IndexQueryStats& a, const IndexQueryStats& b,
+                           const std::string& label) {
+  EXPECT_EQ(a.lists_scanned, b.lists_scanned) << label;
+  EXPECT_EQ(a.postings_scanned, b.postings_scanned) << label;
+  EXPECT_EQ(a.ids_touched, b.ids_touched) << label;
+  EXPECT_EQ(a.support_pruned, b.support_pruned) << label;
+  EXPECT_EQ(a.probability_pruned, b.probability_pruned) << label;
+  EXPECT_EQ(a.candidates, b.candidates) << label;
+}
+
+// Every work counter (everything except wall times).
+void ExpectEqualWorkCounters(const JoinStats& a, const JoinStats& b,
+                             const std::string& label) {
   EXPECT_EQ(a.length_compatible_pairs, b.length_compatible_pairs) << label;
   EXPECT_EQ(a.qgram_candidates, b.qgram_candidates) << label;
   EXPECT_EQ(a.freq_candidates, b.freq_candidates) << label;
@@ -60,71 +72,77 @@ void ExpectEqualPairFlow(const JoinStats& a, const JoinStats& b,
   EXPECT_EQ(a.verify_stats.active_entries, b.verify_stats.active_entries)
       << label;
   EXPECT_EQ(a.verify_stats.world_pairs, b.verify_stats.world_pairs) << label;
+  ExpectEqualIndexStats(a.index_stats, b.index_stats, label);
+  EXPECT_EQ(a.peak_index_memory, b.peak_index_memory) << label;
 }
 
-// Full work-counter equality, including the index merge-scan counters —
-// holds across thread counts at a fixed wave size.
-void ExpectEqualWorkCounters(const JoinStats& a, const JoinStats& b,
-                             const std::string& label) {
-  ExpectEqualPairFlow(a, b, label);
-  EXPECT_EQ(a.index_stats.lists_scanned, b.index_stats.lists_scanned) << label;
-  EXPECT_EQ(a.index_stats.postings_scanned, b.index_stats.postings_scanned)
-      << label;
-  EXPECT_EQ(a.index_stats.ids_touched, b.index_stats.ids_touched) << label;
-  EXPECT_EQ(a.index_stats.support_pruned, b.index_stats.support_pruned)
-      << label;
-  EXPECT_EQ(a.index_stats.probability_pruned, b.index_stats.probability_pruned)
-      << label;
-  EXPECT_EQ(a.index_stats.candidates, b.index_stats.candidates) << label;
-  EXPECT_EQ(a.peak_index_memory, b.peak_index_memory) << label;
+// The paper's scan, sequentially: strings in ascending length order (ties
+// by input position) each query the index of the strings visited before
+// them, then are inserted.  Returns the index counters of all queries and
+// adds the candidates they produced to `*candidates`.
+IndexQueryStats QueryThenInsertScan(
+    const std::vector<UncertainString>& collection, const JoinOptions& options,
+    int64_t* candidates) {
+  std::vector<uint32_t> order(collection.size());
+  std::iota(order.begin(), order.end(), 0);
+  std::stable_sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
+    return collection[a].length() < collection[b].length();
+  });
+  InvertedSegmentIndex index(options.k, options.q, options.probe);
+  IndexQueryStats stats;
+  for (uint32_t i = 0; i < order.size(); ++i) {
+    const UncertainString& r = collection[order[i]];
+    for (int l = std::max(1, r.length() - options.k); l <= r.length(); ++l) {
+      *candidates +=
+          static_cast<int64_t>(index.Query(r, l, options.tau, &stats).size());
+    }
+    EXPECT_TRUE(index.Insert(i, r).ok());
+  }
+  return stats;
 }
 
 TEST(SelfJoinParallelTest, ThreadCountDoesNotChangeResultsOrStats) {
   const Alphabet alphabet = Alphabet::Names();
-  const std::vector<UncertainString> collection = SeededCollection(90, 11);
-  for (int wave_size : {1, 3, 16, 1 << 20}) {
-    JoinOptions base = JoinOptions::Qfct(2, 0.1);
-    base.wave_size = wave_size;
-    base.threads = 1;
-    Result<SelfJoinResult> reference =
-        SimilaritySelfJoin(collection, alphabet, base);
-    ASSERT_TRUE(reference.ok()) << reference.status().ToString();
-    for (int threads : {2, 4}) {
-      JoinOptions options = base;
-      options.threads = threads;
-      Result<SelfJoinResult> got =
-          SimilaritySelfJoin(collection, alphabet, options);
-      ASSERT_TRUE(got.ok()) << got.status().ToString();
-      const std::string label = "threads=" + std::to_string(threads) +
-                                " wave=" + std::to_string(wave_size);
-      ExpectIdenticalPairs(*reference, *got, label);
-      ExpectEqualWorkCounters(reference->stats, got->stats, label);
-    }
-  }
-}
-
-TEST(SelfJoinParallelTest, WaveSizeDoesNotChangeResultsOrPairFlow) {
-  const Alphabet alphabet = Alphabet::Names();
-  const std::vector<UncertainString> collection = SeededCollection(90, 23);
+  // More strings than one 64-probe wave, so the rank-order fold spans
+  // several waves.
+  const std::vector<UncertainString> collection = SeededCollection(150, 11);
   JoinOptions base = JoinOptions::Qfct(2, 0.1);
-  base.wave_size = 1;  // the paper's insert-after-every-string scan
   base.threads = 1;
   Result<SelfJoinResult> reference =
       SimilaritySelfJoin(collection, alphabet, base);
   ASSERT_TRUE(reference.ok()) << reference.status().ToString();
-  for (int wave_size : {2, 5, 32, 1 << 20}) {
-    for (int threads : {1, 4}) {
-      JoinOptions options = base;
-      options.wave_size = wave_size;
-      options.threads = threads;
-      Result<SelfJoinResult> got =
-          SimilaritySelfJoin(collection, alphabet, options);
-      ASSERT_TRUE(got.ok()) << got.status().ToString();
-      const std::string label = "threads=" + std::to_string(threads) +
-                                " wave=" + std::to_string(wave_size);
-      ExpectIdenticalPairs(*reference, *got, label);
-      ExpectEqualPairFlow(reference->stats, got->stats, label);
-    }
+  for (int threads : {2, 4, 8}) {
+    JoinOptions options = base;
+    options.threads = threads;
+    Result<SelfJoinResult> got =
+        SimilaritySelfJoin(collection, alphabet, options);
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    const std::string label = "threads=" + std::to_string(threads);
+    ExpectIdenticalPairs(*reference, *got, label);
+    ExpectEqualWorkCounters(reference->stats, got->stats, label);
+  }
+}
+
+// The join indexes the whole collection up front and limits every probe to
+// the strings visited before it; its index counters must be exactly those
+// of the scan that inserts each string only after its own probe.
+TEST(SelfJoinParallelTest, IndexStatsMatchQueryThenInsertScan) {
+  const Alphabet alphabet = Alphabet::Names();
+  const std::vector<UncertainString> collection = SeededCollection(150, 23);
+  const JoinOptions base = JoinOptions::Qfct(2, 0.1);
+  int64_t scan_candidates = 0;
+  const IndexQueryStats scan =
+      QueryThenInsertScan(collection, base, &scan_candidates);
+  ASSERT_GT(scan.lists_scanned, 0);
+  for (int threads : {1, 4}) {
+    JoinOptions options = base;
+    options.threads = threads;
+    Result<SelfJoinResult> got =
+        SimilaritySelfJoin(collection, alphabet, options);
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    const std::string label = "threads=" + std::to_string(threads);
+    ExpectEqualIndexStats(got->stats.index_stats, scan, label);
+    EXPECT_EQ(got->stats.qgram_candidates, scan_candidates) << label;
   }
 }
 
@@ -136,7 +154,6 @@ TEST(SelfJoinParallelTest, AllVariantsDeterministicAcrossThreads) {
       JoinOptions::Qft(2, 0.1), JoinOptions::Fct(2, 0.1)};
   for (const JoinOptions& variant : variants) {
     JoinOptions base = variant;
-    base.wave_size = 8;
     base.threads = 1;
     Result<SelfJoinResult> reference =
         SimilaritySelfJoin(collection, alphabet, base);
@@ -156,19 +173,17 @@ TEST(SelfJoinParallelTest, AutoThreadsAndAutoWaveSizeWork) {
   const std::vector<UncertainString> collection = SeededCollection(50, 41);
   JoinOptions reference_options = JoinOptions::Qfct(2, 0.1);
   reference_options.threads = 1;
-  reference_options.wave_size = 1;
   Result<SelfJoinResult> reference =
       SimilaritySelfJoin(collection, alphabet, reference_options);
   ASSERT_TRUE(reference.ok());
 
   JoinOptions auto_options = JoinOptions::Qfct(2, 0.1);
-  auto_options.threads = 0;    // hardware concurrency
-  auto_options.wave_size = 0;  // adaptive default
+  auto_options.threads = 0;  // hardware concurrency
   Result<SelfJoinResult> got =
       SimilaritySelfJoin(collection, alphabet, auto_options);
   ASSERT_TRUE(got.ok());
   ExpectIdenticalPairs(*reference, *got, "auto");
-  ExpectEqualPairFlow(reference->stats, got->stats, "auto");
+  ExpectEqualWorkCounters(reference->stats, got->stats, "auto");
 }
 
 TEST(SelfJoinParallelTest, ParallelRunStillMatchesExhaustiveGroundTruth) {
@@ -177,7 +192,6 @@ TEST(SelfJoinParallelTest, ParallelRunStillMatchesExhaustiveGroundTruth) {
   JoinOptions options = JoinOptions::Qfct(2, 0.1);
   options.always_verify = true;
   options.threads = 4;
-  options.wave_size = 6;
   Result<SelfJoinResult> got =
       SimilaritySelfJoin(collection, alphabet, options);
   ASSERT_TRUE(got.ok());
@@ -194,7 +208,7 @@ TEST(SelfJoinParallelTest, ParallelRunStillMatchesExhaustiveGroundTruth) {
 
 TEST(SelfJoinParallelTest, ErrorsPropagateFromWorkerThreads) {
   // An invalid collection must surface the same status regardless of the
-  // thread count (validation happens before the waves, but verification
+  // thread count (validation happens before the build, but verification
   // failures inside workers must propagate too — exercised here via the
   // empty-string precondition).
   const Alphabet alphabet = Alphabet::Dna();

@@ -96,7 +96,10 @@ TEST(UncertainStringTest, BuilderRejectsBadDistributions) {
     UncertainString::Builder b;
     b.AddUncertain({{'A', std::numeric_limits<double>::quiet_NaN()},
                     {'C', 1.0}});
-    EXPECT_FALSE(b.Build().ok());
+    const Result<UncertainString> built = b.Build();
+    ASSERT_FALSE(built.ok());
+    EXPECT_EQ(built.status().message(),
+              "NaN probability at position 0");
   }
 }
 

@@ -7,12 +7,12 @@
 //              [--gamma=5] [--seed=42] [--max-uncertain=0] --out=FILE
 //   ujoin_cli join --input=FILE --kind=names|protein [--k=2] [--tau=0.1]
 //              [--q=3] [--variant=QFCT|QCT|QFT|FCT] [--exact]
-//              [--early-stop] [--threads=1] [--wave-size=0] [--out=FILE]
+//              [--early-stop] [--threads=1] [--out=FILE]
 //              [--metrics-out=FILE] [--trace-out=FILE] [--trace-sample=N]
 //              [--prom-out=FILE] [--listen=PORT] [--listen-hold] [--progress]
 //              [--flight-record[=FILE]] [--watchdog-ms=N]
 //              (--threads=0 uses all cores; results are identical for
-//               every thread count and wave size)
+//               every thread count)
 //   ujoin_cli index --input=FILE --kind=names|protein [--k=2] [--tau=0.1]
 //              [--q=3] --out=FILE.idx
 //   ujoin_cli search (--input=FILE | --index=FILE.idx) --kind=names|protein
@@ -433,34 +433,9 @@ void OnJoinProgress(const JoinProgress& progress, void* user) {
 std::string OptionsJson(const JoinOptions& options) {
   obs::JsonWriter w;
   w.BeginObject();
-  w.Key("k");
-  w.Int(options.k);
-  w.Key("tau");
-  w.Double(options.tau);
-  w.Key("q");
-  w.Int(options.q);
-  w.Key("use_qgram_filter");
-  w.Bool(options.use_qgram_filter);
-  w.Key("use_freq_filter");
-  w.Bool(options.use_freq_filter);
-  w.Key("use_cdf_filter");
-  w.Bool(options.use_cdf_filter);
-  w.Key("qgram_probabilistic_pruning");
-  w.Bool(options.qgram_probabilistic_pruning);
-  w.Key("always_verify");
-  w.Bool(options.always_verify);
-  w.Key("early_stop_verification");
-  w.Bool(options.early_stop_verification);
-  w.Key("verify_method");
-  w.String(options.verify_method == VerifyMethod::kTrie
-               ? "trie"
-               : options.verify_method == VerifyMethod::kCompressedTrie
-                     ? "compressed_trie"
-                     : "naive");
+  AppendOptionsFields(options, &w);
   w.Key("threads");
   w.Int(options.threads);
-  w.Key("wave_size");
-  w.Int(options.wave_size);
   w.EndObject();
   return w.TakeString();
 }
@@ -572,7 +547,6 @@ int RunJoin(Flags& flags) {
   options.always_verify = flags.GetBool("exact");
   options.early_stop_verification = flags.GetBool("early-stop");
   options.threads = flags.GetInt("threads", 1);
-  options.wave_size = flags.GetInt("wave-size", 0);
   const std::string out_path = flags.GetString("out");
   ObsOutputs obs_out;
   ReadObsFlags(flags, /*with_progress=*/true, &obs_out);

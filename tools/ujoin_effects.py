@@ -663,9 +663,11 @@ CONTRACTS = [
             "internal::PairVerifier::PairVerifier",
             "internal::PairVerifier::Decide",
             "internal::PairVerifier::Probability",
-            # The self-join root spans both phases; phase 1 builds the index
-            # (postings, partitions, world enumeration all allocate).
+            # The self-join root spans the build and the probes; the build
+            # indexes the collection and packs it (postings, partitions,
+            # world enumeration and the frozen arena all allocate).
             "InvertedSegmentIndex::Insert",
+            "InvertedSegmentIndex::Freeze",
             # Batch-boundary log flush: SearchMany flushes the query log
             # once per batch, outside the per-query steady state.
             "obs::QueryLog::Write",

@@ -531,51 +531,34 @@ def _suppression_at(raw_lines: list[str], line: int, rule: str) -> int | None:
     return None
 
 
-def suppression_comments(raw_lines: list[str],
-                         pattern: re.Pattern = SUPPRESS_RE,
-                         ) -> list[tuple[int, str]]:
-    """Every (1-based line, rule-name) pair declared by a suppression
-    comment matching `pattern` (group 1 = comma-separated rule list).
-    Shared with tools/ujoin_effects.py, which runs the same staleness
-    check over its `ujoin-effect: assumes(...)` annotations."""
-    out: list[tuple[int, str]] = []
-    for idx, raw in enumerate(raw_lines, 1):
-        m = pattern.search(raw)
-        if m:
-            for rule in m.group(1).split(","):
-                out.append((idx, rule.strip()))
-    return out
-
-
 def stale_suppression_violations(
-        path: str, raw_lines: list[str], used: set[tuple[int, str]],
-        known_rules: tuple[str, ...] = RULE_NAMES,
-        pattern: re.Pattern = SUPPRESS_RE,
-        rule_name: str = "stale-suppression",
-        what: str = "ujoin-lint: allow") -> list[Violation]:
+        path: str, raw_lines: list[str],
+        used: set[tuple[int, str]]) -> list[Violation]:
     """A suppression that suppresses nothing is itself a violation: it
     either outlived the code it excused (delete it) or names the wrong
     rule (it never worked).  `used` holds (comment line, rule) pairs that
     actually absorbed a violation.  Stale-suppression findings are not
     themselves suppressible — fix them by deleting the comment."""
     out = []
-    for line, rule in suppression_comments(raw_lines, pattern):
-        if rule == rule_name:
-            out.append(Violation(
-                path, line, rule_name,
-                f"`{what}({rule})` is not suppressible; delete stale "
-                f"suppressions instead of allowing them"))
-        elif rule not in known_rules:
-            out.append(Violation(
-                path, line, rule_name,
-                f"`{what}({rule})` names an unknown rule (known: "
-                f"{', '.join(known_rules)}); it can never suppress "
-                f"anything"))
-        elif (line, rule) not in used:
-            out.append(Violation(
-                path, line, rule_name,
-                f"`{what}({rule})` suppresses nothing on the next line; "
-                f"the code it excused is gone — delete the comment"))
+    for line, raw in enumerate(raw_lines, 1):
+        m = SUPPRESS_RE.search(raw)
+        if not m:
+            continue
+        for rule in (r.strip() for r in m.group(1).split(",")):
+            if rule == "stale-suppression":
+                message = ("is not suppressible; delete stale suppressions "
+                           "instead of allowing them")
+            elif rule not in RULE_NAMES:
+                message = (f"names an unknown rule (known: "
+                           f"{', '.join(RULE_NAMES)}); it can never "
+                           f"suppress anything")
+            elif (line, rule) not in used:
+                message = ("suppresses nothing on the next line; the code "
+                           "it excused is gone — delete the comment")
+            else:
+                continue
+            out.append(Violation(path, line, "stale-suppression",
+                                 f"`ujoin-lint: allow({rule})` {message}"))
     return out
 
 
